@@ -4,8 +4,10 @@ module Value = Graql_storage.Value
 module Schema = Graql_storage.Schema
 module Vset = Graql_graph.Vset
 module Eset = Graql_graph.Eset
+module Csr = Graql_graph.Csr
 module Subgraph = Graql_graph.Subgraph
 module Bitset = Graql_util.Bitset
+module Int_vec = Graql_util.Int_vec
 module Pool = Graql_parallel.Domain_pool
 module Metrics = Graql_obs.Metrics
 module Trace = Graql_obs.Trace
@@ -21,12 +23,15 @@ type slot = {
 }
 
 type component = { slots : slot array; rows : int array array }
+type relation = { layout : slot array; cols : Int_vec.t array }
 
-type result = {
-  comps : component list;
+type 'c outcome = {
+  comps : 'c list;
   universe : Pack.universe;
   regex_edges : int list;
 }
+
+type result = component outcome
 
 exception Exec_error of Loc.t * string
 
@@ -66,6 +71,92 @@ type path_plan = {
 }
 
 (* ------------------------------------------------------------------ *)
+(* The binding relation                                                *)
+
+(* One column of packed cells per slot, all of one length. A step never
+   copies rows: it computes the parent row of each output row (plus the
+   new columns), narrows that candidate set with selection vectors, and
+   gathers every earlier column once through the surviving parents. *)
+
+let par_threshold = 2048
+
+let nrows_of cols = if Array.length cols = 0 then 0 else Int_vec.length cols.(0)
+
+let gather_cols cols idx = Array.map (fun c -> Int_vec.gather c idx) cols
+
+(* Positions [i] of [0, n) where [keep i] holds, ascending. Chunk-parallel
+   on big inputs; chunk results merge in order, so the selection is the
+   same at any domain count. *)
+let select_positions ?pool n keep =
+  match pool with
+  | Some pool when n >= par_threshold ->
+      Pool.parallel_reduce pool
+        ~init:(fun () -> Int_vec.create ())
+        ~body:(fun out i -> if keep i then Int_vec.push out i)
+        ~merge:(fun a b ->
+          Int_vec.append a b;
+          a)
+        ~lo:0 ~hi:n
+  | _ ->
+      let out = Int_vec.create ~capacity:n () in
+      for i = 0 to n - 1 do
+        if keep i then Int_vec.push out i
+      done;
+      out
+
+(* Narrow a selection vector over [n] candidates ([None] = all of them). *)
+let refine ?pool ~n sel keep =
+  match sel with
+  | None -> Some (select_positions ?pool n keep)
+  | Some s ->
+      let hits =
+        select_positions ?pool (Int_vec.length s) (fun j ->
+            keep (Int_vec.unsafe_get s j))
+      in
+      Some (Int_vec.gather s hits)
+
+(* Set semantics over whole rows: sort rows lexicographically in column
+   order — the order [compare] gives equal-length int arrays — and drop
+   duplicates. *)
+let sort_dedupe cols =
+  match cols with
+  | [| c |] -> [| Int_vec.sort_unique c |]
+  | _ ->
+      let w = Array.length cols in
+      let n = nrows_of cols in
+      let cmp a b =
+        let rec go s =
+          if s = w then 0
+          else
+            let x = Int_vec.unsafe_get cols.(s) a
+            and y = Int_vec.unsafe_get cols.(s) b in
+            if x <> y then Int.compare x y else go (s + 1)
+        in
+        go 0
+      in
+      let perm = Array.init n Fun.id in
+      Array.stable_sort cmp perm;
+      let keep = Int_vec.create ~capacity:n () in
+      Array.iteri
+        (fun j r -> if j = 0 || cmp perm.(j - 1) r <> 0 then Int_vec.push keep r)
+        perm;
+      gather_cols cols keep
+
+let label_positions layout =
+  List.filter_map
+    (fun i ->
+      match layout.(i).s_label with
+      | Some l -> Some (norm l, i)
+      | None -> None)
+    (List.init (Array.length layout) Fun.id)
+
+let rows_of (r : relation) =
+  Array.init (nrows_of r.cols) (fun i ->
+      Array.map (fun c -> Int_vec.unsafe_get c i) r.cols)
+
+let to_component (r : relation) = { slots = r.layout; rows = rows_of r }
+
+(* ------------------------------------------------------------------ *)
 (* Execution state for one path                                        *)
 
 type env = (string, (int, unit) Hashtbl.t) Hashtbl.t
@@ -76,12 +167,12 @@ type pstate = {
   params : string -> Value.t option;
   u : Pack.universe;
   mode : mode;
-  max_cells : int;
+  max_bytes : int;
   edges_needed : bool;
       (* whether the query output can observe regex-traversed edges *)
   env : env;
-  mutable slots : slot list;
-  mutable rows : int array list;
+  mutable slots : slot array;
+  mutable cols : Int_vec.t array; (* the binding relation, one per slot *)
   mutable vstep_count : int; (* vertex steps placed so far *)
   (* label name (normalized) -> element-wise? *)
   label_kinds : (string, bool) Hashtbl.t;
@@ -91,30 +182,33 @@ type pstate = {
   step_code_e : int -> int; (* edge arriving at exec vstep k *)
 }
 
-let nslots st = List.length st.slots
+let nslots st = Array.length st.slots
+let nrows st = nrows_of st.cols
 
 (* The paper names "the possibility of obtaining large intermediate
    results" among the core challenges: rather than exhausting memory, the
-   executor enforces a cell budget on the binding relation and fails with
-   a diagnosable error. *)
+   executor enforces a memory budget on the binding relation (one unboxed
+   int per slot per row) and fails with a diagnosable error. *)
+let cell_bytes = 8
+
 let check_budget st loc =
-  let width = max 1 (nslots st) in
-  if List.length st.rows * width > st.max_cells then
+  if cell_bytes * nslots st * nrows st > st.max_bytes then
     error loc
       "intermediate result exceeds the configured budget (%d cells); add \
        conditions or labels to make the query more selective"
-      st.max_cells
+      (st.max_bytes / cell_bytes)
 
 let slot_of_label st name =
   let name = norm name in
-  let rec go i = function
-    | [] -> None
-    | s :: rest ->
-        if (match s.s_label with Some l -> norm l = name | None -> false) then
-          Some (i, s.s_kind)
-        else go (i + 1) rest
+  let rec go i =
+    if i = nslots st then None
+    else
+      let s = st.slots.(i) in
+      if (match s.s_label with Some l -> norm l = name | None -> false) then
+        Some (i, s.s_kind)
+      else go (i + 1)
   in
-  go 0 st.slots
+  go 0
 
 let vertex_slot_of_label st name =
   match slot_of_label st name with Some (i, `V) -> Some i | _ -> None
@@ -130,33 +224,20 @@ let retain st =
   | Keep_minimal keep ->
       let keep = List.map norm keep in
       let n = nslots st in
-      let keep_flags =
-        List.mapi
-          (fun i s ->
+      let kept =
+        List.filter
+          (fun i ->
+            let s = st.slots.(i) in
             i = n - 1
             || Option.is_some s.s_label
             || (match s.s_type_name with
                | Some t -> List.mem (norm t) keep
                | None -> false))
-          st.slots
+          (List.init n Fun.id)
       in
-      if List.for_all Fun.id keep_flags then begin
-        (* No projection; still dedupe for set semantics. *)
-        st.rows <- List.sort_uniq compare st.rows
-      end
-      else begin
-        let kept_idx =
-          List.filteri (fun i _ -> List.nth keep_flags i) (List.init n Fun.id)
-        in
-        let kept_idx = Array.of_list kept_idx in
-        st.slots <-
-          List.filteri (fun i _ -> List.nth keep_flags i) st.slots;
-        st.rows <-
-          List.sort_uniq compare
-            (List.map
-               (fun row -> Array.map (fun i -> row.(i)) kept_idx)
-               st.rows)
-      end
+      let kept = Array.of_list kept in
+      st.slots <- Array.map (fun i -> st.slots.(i)) kept;
+      st.cols <- sort_dedupe (Array.map (fun i -> st.cols.(i)) kept)
 
 let register_label st (v : Ast.vstep) =
   match v.Ast.v_label with
@@ -168,6 +249,11 @@ let register_label st (v : Ast.vstep) =
 
 let label_of_vstep (v : Ast.vstep) =
   Option.map Ast.label_name v.Ast.v_label
+
+let value_set col =
+  let set = Hashtbl.create 64 in
+  Int_vec.iter (fun cell -> Hashtbl.replace set cell ()) col;
+  set
 
 (* ------------------------------------------------------------------ *)
 (* Head seeding                                                        *)
@@ -224,18 +310,22 @@ let seed_vertices_of_type st ~tidx ~(cond : Ast.expr option) ~self_names ~sub =
        | None -> true)
   in
   match key_seed st vset cond with
-  | Some key -> (
-      match Vset.find_by_key vset [ key ] with
-      | Some v when accept v -> [ Pack.pack ~tidx ~id:v ]
-      | _ -> [])
+  | Some key ->
+      let out = Int_vec.create ~capacity:1 () in
+      (match Vset.find_by_key vset [ key ] with
+      | Some v when accept v -> Int_vec.push out (Pack.pack ~tidx ~id:v)
+      | _ -> ());
+      out
   | None ->
-      let out = ref [] in
-      for v = Vset.size vset - 1 downto 0 do
-        if accept v then out := Pack.pack ~tidx ~id:v :: !out
+      let size = Vset.size vset in
+      let unfiltered = Option.is_none compiled && Option.is_none sub in
+      let out = Int_vec.create ~capacity:(if unfiltered then size else 16) () in
+      for v = 0 to size - 1 do
+        if accept v then Int_vec.push out (Pack.pack ~tidx ~id:v)
       done;
-      !out
+      out
 
-let head_seeds st (v : Ast.vstep) : int list * string option * string option =
+let head_seeds st (v : Ast.vstep) : Int_vec.t * string option * string option =
   (* Returns seeds, the declared type name (if any), and the referenced
      cross-path label (if the head names one) — the slot must carry that
      label so [and] composition can join on it. *)
@@ -243,14 +333,14 @@ let head_seeds st (v : Ast.vstep) : int list * string option * string option =
   | Ast.V_any ->
       if v.Ast.v_cond <> None then
         error v.Ast.v_loc "conditions are not allowed on [ ] steps";
-      let out = ref [] in
+      let out = Int_vec.create () in
       Array.iteri
         (fun tidx vset ->
-          for id = Vset.size vset - 1 downto 0 do
-            out := Pack.pack ~tidx ~id :: !out
+          for id = 0 to Vset.size vset - 1 do
+            Int_vec.push out (Pack.pack ~tidx ~id)
           done)
         st.u.Pack.vtypes;
-      (!out, None, None)
+      (out, None, None)
   | Ast.V_named n -> (
       match Hashtbl.find_opt st.env (norm n) with
       | Some set ->
@@ -273,7 +363,7 @@ let head_seeds st (v : Ast.vstep) : int list * string option * string option =
                     | None -> true)
                   seeds
           in
-          (seeds, None, Some n)
+          (Int_vec.of_array (Array.of_list seeds), None, Some n)
       | None -> (
           match Pack.vtype_index st.u n with
           | Some tidx ->
@@ -294,7 +384,7 @@ let head_seeds st (v : Ast.vstep) : int list * string option * string option =
               let bits = Subgraph.vertices sub ~vtype:vt in
               let seeds =
                 match bits with
-                | None -> []
+                | None -> Int_vec.create ()
                 | Some bits ->
                     seed_vertices_of_type st ~tidx ~cond:v.Ast.v_cond
                       ~self_names:[ vt ] ~sub:(Some bits)
@@ -353,13 +443,23 @@ let traversals_for st (e : Ast.estep) ~ltidx ~(required_other : int option) =
   Array.iteri (fun eidx eset -> acc := consider eidx eset !acc) st.u.Pack.etypes;
   List.rev !acc
 
-let distinct_types_in_rows rows pos =
-  let seen = Hashtbl.create 8 in
-  List.iter (fun row -> Hashtbl.replace seen (Pack.tidx row.(pos)) ()) rows;
-  Hashtbl.fold (fun t () acc -> t :: acc) seen []
+(* Candidate extensions of a step, one entry per CSR neighbor of a live
+   row's current cell: the parent row, the packed edge, the packed vertex. *)
+type cands = { par : Int_vec.t; edge : Int_vec.t; vert : Int_vec.t }
+
+let fresh_cands () =
+  { par = Int_vec.create (); edge = Int_vec.create (); vert = Int_vec.create () }
+
+let append_cands a b =
+  Int_vec.append a.par b.par;
+  Int_vec.append a.edge b.edge;
+  Int_vec.append a.vert b.vert;
+  a
 
 let expand_step st (e : Ast.estep) (v : Ast.vstep) =
-  let cur_pos = nslots st - 1 in
+  let width = nslots st in
+  let cur = st.cols.(width - 1) in
+  let n = Int_vec.length cur in
   (* Resolve the landing-step target. *)
   let target, declared_type, ref_label =
     match v.Ast.v_kind with
@@ -376,11 +476,7 @@ let expand_step st (e : Ast.estep) (v : Ast.vstep) =
               | None -> false
             in
             if each then (T_label_each pos, None, None)
-            else begin
-              let set = Hashtbl.create 64 in
-              List.iter (fun row -> Hashtbl.replace set row.(pos) ()) st.rows;
-              (T_label_set (pos, set), None, None)
-            end
+            else (T_label_set (pos, value_set st.cols.(pos)), None, None)
         | None -> (
             match Hashtbl.find_opt st.env (norm n) with
             | Some set -> (T_env set, None, Some n)
@@ -404,16 +500,18 @@ let expand_step st (e : Ast.estep) (v : Ast.vstep) =
     | T_label_each _ | T_label_set _ | T_env _ -> None
   in
   (* Pre-compute traversals and compiled conditions for every left type in
-     the frontier, so the per-row loop is read-only (parallel-safe). *)
-  let ltypes = distinct_types_in_rows st.rows cur_pos in
-  let trav_cache = Hashtbl.create 8 in
-  List.iter
-    (fun ltidx ->
-      Hashtbl.replace trav_cache ltidx
-        (traversals_for st e ~ltidx ~required_other))
-    ltypes;
-  let econd_cache = Hashtbl.create 8 in
-  let vcond_cache = Hashtbl.create 8 in
+     the frontier, so the expansion and filters are read-only
+     (parallel-safe). *)
+  let present = Array.make (Array.length st.u.Pack.vtypes) false in
+  Int_vec.iter (fun cell -> present.(Pack.tidx cell) <- true) cur;
+  let travs =
+    Array.mapi
+      (fun ltidx here ->
+        if here then traversals_for st e ~ltidx ~required_other else [])
+      present
+  in
+  let econd = Array.make (Array.length st.u.Pack.etypes) None in
+  let vcond = Array.make (Array.length st.u.Pack.vtypes) None in
   let self_names =
     (match declared_type with Some n -> [ n ] | None -> [])
     @ (match label_of_vstep v with Some l -> [ l ] | None -> [])
@@ -422,7 +520,6 @@ let expand_step st (e : Ast.estep) (v : Ast.vstep) =
   let arriving_edge_label = Option.map Ast.label_name e.Ast.e_label in
   let vcond_slots =
     let base = slot_lookup st in
-    let width = nslots st in
     {
       Step_cond.find_slot =
         (fun name ->
@@ -434,108 +531,114 @@ let expand_step st (e : Ast.estep) (v : Ast.vstep) =
               | _ -> None));
     }
   in
-  List.iter
-    (fun ltidx ->
-      List.iter
-        (fun tr ->
-          (match (e.Ast.e_cond, Hashtbl.mem econd_cache tr.tr_eidx) with
-          | Some c, false ->
-              let eset = st.u.Pack.etypes.(tr.tr_eidx) in
-              let compiled =
-                try
-                  Step_cond.compile_edge ~params:st.params ~universe:st.u
-                    ~slots:(slot_lookup st)
-                    ~self_names:
-                      ((match e.Ast.e_kind with
-                       | Ast.E_named n -> [ n ]
-                       | Ast.E_any -> [])
-                      @
-                      match e.Ast.e_label with
-                      | Some l -> [ Ast.label_name l ]
-                      | None -> [])
-                    ~eset c
-                with Compile_expr.Compile_error (loc, msg) -> error loc "%s" msg
-              in
-              Hashtbl.replace econd_cache tr.tr_eidx compiled
-          | _ -> ());
-          match (v.Ast.v_cond, Hashtbl.mem vcond_cache tr.tr_other) with
-          | Some c, false ->
-              let vset = st.u.Pack.vtypes.(tr.tr_other) in
-              let compiled =
-                try
-                  Step_cond.compile_vertex ~params:st.params ~universe:st.u
-                    ~slots:vcond_slots ~self_names ~vset c
-                with Compile_expr.Compile_error (loc, msg) -> error loc "%s" msg
-              in
-              Hashtbl.replace vcond_cache tr.tr_other compiled
-          | _ -> ())
-        (Hashtbl.find trav_cache ltidx))
-    ltypes;
-  let expand_row row out =
-    let cur = row.(cur_pos) in
-    let travs =
-      match Hashtbl.find_opt trav_cache (Pack.tidx cur) with
-      | Some t -> t
-      | None -> []
-    in
+  let compile f =
+    try Some (f ()) with Compile_expr.Compile_error (loc, msg) -> error loc "%s" msg
+  in
+  Array.iter
+    (List.iter (fun tr ->
+         (match e.Ast.e_cond with
+         | Some c when Option.is_none econd.(tr.tr_eidx) ->
+             let eset = st.u.Pack.etypes.(tr.tr_eidx) in
+             econd.(tr.tr_eidx) <-
+               compile (fun () ->
+                   Step_cond.compile_edge ~params:st.params ~universe:st.u
+                     ~slots:(slot_lookup st)
+                     ~self_names:
+                       ((match e.Ast.e_kind with
+                        | Ast.E_named n -> [ n ]
+                        | Ast.E_any -> [])
+                       @
+                       match e.Ast.e_label with
+                       | Some l -> [ Ast.label_name l ]
+                       | None -> [])
+                     ~eset c)
+         | _ -> ());
+         match v.Ast.v_cond with
+         | Some c when Option.is_none vcond.(tr.tr_other) ->
+             let vset = st.u.Pack.vtypes.(tr.tr_other) in
+             vcond.(tr.tr_other) <-
+               compile (fun () ->
+                   Step_cond.compile_vertex ~params:st.params ~universe:st.u
+                     ~slots:vcond_slots ~self_names ~vset c)
+         | _ -> ()))
+    travs;
+  (* CSR gather: every neighbor of every live row becomes a candidate. *)
+  let emit c i =
+    let cell = Int_vec.unsafe_get cur i in
     List.iter
       (fun tr ->
         let eset = st.u.Pack.etypes.(tr.tr_eidx) in
         let csr = if tr.tr_out then Eset.forward eset else Eset.reverse eset in
-        Graql_graph.Csr.iter_neighbors csr (Pack.id cur) (fun ~dst:nbr ~eid ->
-            let edge_ok =
-              match Hashtbl.find_opt econd_cache tr.tr_eidx with
-              | Some c -> Step_cond.eval_edge c ~row ~edge:eid
-              | None -> true
-            in
-            if edge_ok then begin
-              let ncell = Pack.pack ~tidx:tr.tr_other ~id:nbr in
-              let target_ok =
-                match target with
-                | T_type _ -> true (* filtered via required_other *)
-                | T_label_each pos -> ncell = row.(pos)
-                | T_label_set (pos, set) ->
-                    Hashtbl.mem set ncell
-                    && Pack.tidx ncell = Pack.tidx row.(pos)
-                | T_env set -> Hashtbl.mem set ncell
-                | T_seeded (_, bits) -> Bitset.mem bits nbr
-              in
-              if target_ok then begin
-                let n = Array.length row in
-                let row' = Array.make (n + 2) 0 in
-                Array.blit row 0 row' 0 n;
-                row'.(n) <- Pack.pack ~tidx:tr.tr_eidx ~id:eid;
-                row'.(n + 1) <- ncell;
-                let vertex_ok =
-                  match Hashtbl.find_opt vcond_cache tr.tr_other with
-                  | Some c -> Step_cond.eval_vertex c ~row:row' ~vertex:nbr
-                  | None -> true
-                in
-                if vertex_ok then out := row' :: !out
-              end
-            end))
-      travs
+        Csr.iter_neighbors csr (Pack.id cell) (fun ~dst ~eid ->
+            Int_vec.push c.par i;
+            Int_vec.push c.edge (Pack.pack ~tidx:tr.tr_eidx ~id:eid);
+            Int_vec.push c.vert (Pack.pack ~tidx:tr.tr_other ~id:dst)))
+      travs.(Pack.tidx cell)
   in
-  let rows = Array.of_list st.rows in
-  let nrows = Array.length rows in
   let pool = Db.pool st.db in
-  let new_rows =
+  let c =
     match pool with
-    | Some pool when nrows >= 2048 ->
-        let acc =
-          Pool.parallel_reduce pool
-            ~init:(fun () -> ref [])
-            ~body:(fun out i -> expand_row rows.(i) out)
-            ~merge:(fun a b ->
-              a := List.rev_append (List.rev !b) !a;
-              a)
-            ~lo:0 ~hi:nrows
-        in
-        List.rev !acc
+    | Some pool when n >= par_threshold ->
+        Pool.parallel_reduce pool ~init:fresh_cands ~body:emit ~merge:append_cands
+          ~lo:0 ~hi:n
     | _ ->
-        let out = ref [] in
-        Array.iter (fun row -> expand_row row out) rows;
-        List.rev !out
+        let c = fresh_cands () in
+        for i = 0 to n - 1 do
+          emit c i
+        done;
+        c
+  in
+  let ncands = Int_vec.length c.par in
+  let parent k = Int_vec.unsafe_get c.par k
+  and ecell k = Int_vec.unsafe_get c.edge k
+  and vcell k = Int_vec.unsafe_get c.vert k in
+  (* The candidate's full binding, for conditions that read earlier
+     labeled steps (the arriving edge sits at [width]). *)
+  let row_of k =
+    let p = parent k in
+    Array.init (width + 2) (fun s ->
+        if s < width then Int_vec.unsafe_get st.cols.(s) p
+        else if s = width then ecell k
+        else vcell k)
+  in
+  (* Selection-vector filters, in the order the conditions apply: edge
+     condition, landing target, vertex condition. *)
+  let sel = ref None in
+  let filter keep = sel := refine ?pool ~n:ncands !sel keep in
+  if Array.exists Option.is_some econd then
+    filter (fun k ->
+        let ed = ecell k in
+        match econd.(Pack.tidx ed) with
+        | Some cond ->
+            let row = if Step_cond.reads_slots cond then row_of k else [||] in
+            Step_cond.eval_edge cond ~row ~edge:(Pack.id ed)
+        | None -> true);
+  (match target with
+  | T_type _ -> () (* filtered via required_other *)
+  | T_label_each pos ->
+      let bound = st.cols.(pos) in
+      filter (fun k -> vcell k = Int_vec.unsafe_get bound (parent k))
+  | T_label_set (pos, set) ->
+      let bound = st.cols.(pos) in
+      filter (fun k ->
+          let cell = vcell k in
+          Hashtbl.mem set cell
+          && Pack.tidx cell = Pack.tidx (Int_vec.unsafe_get bound (parent k)))
+  | T_env set -> filter (fun k -> Hashtbl.mem set (vcell k))
+  | T_seeded (_, bits) -> filter (fun k -> Bitset.mem bits (Pack.id (vcell k))));
+  if Array.exists Option.is_some vcond then
+    filter (fun k ->
+        let cell = vcell k in
+        match vcond.(Pack.tidx cell) with
+        | Some cond ->
+            let row = if Step_cond.reads_slots cond then row_of k else [||] in
+            Step_cond.eval_vertex cond ~row ~vertex:(Pack.id cell)
+        | None -> true);
+  let par, edges, verts =
+    match !sel with
+    | None -> (c.par, c.edge, c.vert)
+    | Some s ->
+        (Int_vec.gather c.par s, Int_vec.gather c.edge s, Int_vec.gather c.vert s)
   in
   let k = st.vstep_count in
   let eslot =
@@ -556,8 +659,8 @@ let expand_step st (e : Ast.estep) (v : Ast.vstep) =
       s_step = st.step_code_v k;
     }
   in
-  st.slots <- st.slots @ [ eslot; vslot ];
-  st.rows <- new_rows;
+  st.slots <- Array.append st.slots [| eslot; vslot |];
+  st.cols <- Array.append (gather_cols st.cols par) [| edges; verts |];
   st.vstep_count <- k + 1;
   register_label st v;
   check_budget st v.Ast.v_loc;
@@ -565,6 +668,32 @@ let expand_step st (e : Ast.estep) (v : Ast.vstep) =
 
 (* ------------------------------------------------------------------ *)
 (* Regex segments                                                      *)
+
+(* Both regex engines hand over, per row, the ascending endpoint column of
+   its last cell: the row extends once per endpoint, and the earlier
+   columns are gathered through the parent index. *)
+let endpoint_rows st reach =
+  let cur = st.cols.(nslots st - 1) in
+  let par = Int_vec.create () and ends = Int_vec.create () in
+  for i = 0 to Int_vec.length cur - 1 do
+    let r = reach (Int_vec.unsafe_get cur i) in
+    for _ = 1 to Int_vec.length r do
+      Int_vec.push par i
+    done;
+    Int_vec.append ends r
+  done;
+  (par, ends)
+
+let push_endpoints st (par, ends) loc =
+  let k = st.vstep_count in
+  let vslot =
+    { s_kind = `V; s_label = None; s_type_name = None; s_step = st.step_code_v k }
+  in
+  st.slots <- Array.append st.slots [| vslot |];
+  st.cols <- Array.append (gather_cols st.cols par) [| ends |];
+  st.vstep_count <- k + 1;
+  check_budget st loc;
+  retain st
 
 (* One traversal of the group body from a single cell. Returns the cells
    reached and the packed edges used. Conditions inside the body may only
@@ -774,27 +903,10 @@ let expand_regex st (body : (Ast.estep * Ast.vstep) list) (op : Ast.rx_op) loc =
         if n < 0 then error loc "negative repetition count"
         else exact_n n start
   in
-  let new_rows = ref [] in
-  List.iter
-    (fun row ->
-      let cur = row.(Array.length row - 1) in
-      List.iter
-        (fun endpoint ->
-          let n = Array.length row in
-          let row' = Array.make (n + 1) 0 in
-          Array.blit row 0 row' 0 n;
-          row'.(n) <- endpoint;
-          new_rows := row' :: !new_rows)
-        (reach cur))
-    st.rows;
-  let k = st.vstep_count in
-  st.slots <-
-    st.slots
-    @ [ { s_kind = `V; s_label = None; s_type_name = None; s_step = st.step_code_v k } ];
-  st.rows <- List.rev !new_rows;
-  st.vstep_count <- k + 1;
-  check_budget st loc;
-  retain st
+  push_endpoints st
+    (endpoint_rows st (fun cur -> Int_vec.of_array (Array.of_list (reach cur))))
+    loc
+
 
 (* The automaton route: compile the group body once, then run product BFS
    per distinct frontier cell (memoized like the closure route). Endpoint
@@ -819,7 +931,7 @@ let expand_regex_nfa st (xr : xregex) =
     else None
   in
   let pool = Db.pool st.db in
-  let memo : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+  let memo : (int, Int_vec.t) Hashtbl.t = Hashtbl.create 64 in
   let reach start =
     match Hashtbl.find_opt memo start with
     | Some cached -> cached
@@ -837,19 +949,7 @@ let expand_regex_nfa st (xr : xregex) =
         ]
       "rpq.eval"
   in
-  let new_rows = ref [] in
-  List.iter
-    (fun row ->
-      let cur = row.(Array.length row - 1) in
-      List.iter
-        (fun endpoint ->
-          let n = Array.length row in
-          let row' = Array.make (n + 1) 0 in
-          Array.blit row 0 row' 0 n;
-          row'.(n) <- endpoint;
-          new_rows := row' :: !new_rows)
-        (reach cur))
-    st.rows;
+  let endpoints = endpoint_rows st reach in
   Trace.end_span sp;
   (* Per-state visited sizes become profile rows, in the same order as
      EXPLAIN's per-state plan rows (the segment summary row follows from
@@ -862,14 +962,7 @@ let expand_regex_nfa st (xr : xregex) =
           Profile.note_step c ~label:infos.(s).Rpq.si_label ~rows ~ms:0.)
         stats
   | None -> ());
-  let k = st.vstep_count in
-  st.slots <-
-    st.slots
-    @ [ { s_kind = `V; s_label = None; s_type_name = None; s_step = st.step_code_v k } ];
-  st.rows <- List.rev !new_rows;
-  st.vstep_count <- k + 1;
-  check_budget st xr.xr_loc;
-  retain st
+  push_endpoints st endpoints xr.xr_loc
 
 (* ------------------------------------------------------------------ *)
 (* Planner: direction choice (Sec. III-B)                              *)
@@ -1003,8 +1096,7 @@ let regex_reversible ~u (p : Ast.path) =
       ok)
     p.Ast.segments
 
-let chosen_direction ?(edges_needed = true) (p : Ast.path) ~db ~params =
-  let u = Pack.universe (Db.graph db) in
+let direction ~u ~edges_needed (p : Ast.path) ~db ~params =
   let regex_ok =
     (not (path_has_regex p))
     || (!use_automaton && (not edges_needed) && regex_reversible ~u p)
@@ -1015,10 +1107,12 @@ let chosen_direction ?(edges_needed = true) (p : Ast.path) ~db ~params =
     let tail_est = estimate_seed ~db ~params u (last_vstep p) in
     if tail_est < head_est then `Backward else `Forward
 
-let plan_path ~db ~params ?(auto_reverse = true) ?(edges_needed = true)
-    (p : Ast.path) : path_plan =
+let chosen_direction ?(edges_needed = true) (p : Ast.path) ~db ~params =
+  direction ~u:(Pack.universe (Db.graph db)) ~edges_needed p ~db ~params
+
+let plan ~u ~db ~params ~auto_reverse ~edges_needed (p : Ast.path) : path_plan =
   let reversed =
-    auto_reverse && chosen_direction ~edges_needed p ~db ~params = `Backward
+    auto_reverse && direction ~u ~edges_needed p ~db ~params = `Backward
   in
   if not reversed then
     {
@@ -1104,10 +1198,9 @@ let plan_path ~db ~params ?(auto_reverse = true) ?(edges_needed = true)
     { px_head = head; px_steps = !steps; px_reversed = true }
   end
 
-(* ------------------------------------------------------------------ *)
-(* Path / multipath orchestration                                      *)
 
-let default_max_cells = 50_000_000
+let plan_path ~db ~params ?(auto_reverse = true) ?(edges_needed = true) p =
+  plan ~u:(Pack.universe (Db.graph db)) ~db ~params ~auto_reverse ~edges_needed p
 
 (* [path.*] counters count frontier rows and steps, which are fixed by
    the query and data — invariant across domain counts. *)
@@ -1144,10 +1237,13 @@ let xstep_label = function
   | X_step (e, v) -> seg_label (Ast.Seg_step (e, v))
   | X_regex xr -> seg_label (Ast.Seg_regex (xr.xr_body, xr.xr_op, xr.xr_loc))
 
-let run_path ~db ~params ~u ~mode ~max_cells ~env ~regex_edges ~auto_reverse
-    ~edges_needed (p : Ast.path) : component * (string, bool) Hashtbl.t =
+
+let default_max_bytes = cell_bytes * 50_000_000
+
+let run_path ~db ~params ~u ~mode ~max_bytes ~env ~regex_edges ~auto_reverse
+    ~edges_needed (p : Ast.path) : relation =
   let n = vstep_count_of_path p - 1 in
-  let plan = plan_path ~db ~params ~auto_reverse ~edges_needed p in
+  let plan = plan ~u ~db ~params ~auto_reverse ~edges_needed p in
   let reversed = plan.px_reversed in
   let step_code_v k = if reversed then 2 * (n - k) else 2 * k in
   let step_code_e k = if reversed then (2 * (n - k)) + 1 else (2 * k) - 1 in
@@ -1157,11 +1253,11 @@ let run_path ~db ~params ~u ~mode ~max_cells ~env ~regex_edges ~auto_reverse
       params;
       u;
       mode;
-      max_cells;
+      max_bytes;
       edges_needed;
       env;
-      slots = [];
-      rows = [];
+      slots = [||];
+      cols = [||];
       vstep_count = 0;
       label_kinds = Hashtbl.create 4;
       regex_edges;
@@ -1171,25 +1267,34 @@ let run_path ~db ~params ~u ~mode ~max_cells ~env ~regex_edges ~auto_reverse
   in
   let prof = Profile.current () in
   (match prof with Some c -> Profile.begin_path c | None -> ());
+  (* Step labels are only rendered for a consumer: an armed trace or a
+     profile collector. *)
   let timed_step ~label ~span_name f =
-    let sp = Trace.begin_span ~cat:"path" ~args:[ ("step", label) ] span_name in
+    let armed = Trace.is_armed () in
+    let label = if armed || Option.is_some prof then label () else "" in
+    let sp =
+      if armed then Trace.begin_span ~cat:"path" ~args:[ ("step", label) ] span_name
+      else Trace.null_span
+    in
     let t0 = Unix.gettimeofday () in
     f ();
     let ms = (Unix.gettimeofday () -. t0) *. 1000. in
     Trace.end_span sp;
-    let rows = List.length st.rows in
+    let rows = nrows st in
     Metrics.add m_step_rows rows;
     Metrics.observe h_step_us (ms *. 1000.);
-    (match prof with
+    match prof with
     | Some c -> Profile.note_step c ~label ~rows ~ms
-    | None -> ())
+    | None -> ()
   in
   (* Head *)
-  timed_step ~label:("seed " ^ vstep_name plan.px_head) ~span_name:"path.seed"
+  timed_step
+    ~label:(fun () -> "seed " ^ vstep_name plan.px_head)
+    ~span_name:"path.seed"
     (fun () ->
       let seeds, declared, ref_label = head_seeds st plan.px_head in
       st.slots <-
-        [
+        [|
           {
             s_kind = `V;
             s_label =
@@ -1199,15 +1304,18 @@ let run_path ~db ~params ~u ~mode ~max_cells ~env ~regex_edges ~auto_reverse
             s_type_name = declared;
             s_step = step_code_v 0;
           };
-        ];
-      st.rows <- List.map (fun cell -> [| cell |]) seeds;
+        |];
+      st.cols <- [| seeds |];
       st.vstep_count <- 1;
       register_label st plan.px_head;
       retain st;
-      Metrics.add m_seed_rows (List.length st.rows));
+      Metrics.add m_seed_rows (nrows st));
   List.iter
     (fun xs ->
-      timed_step ~label:(xstep_label xs) ~span_name:"path.step" (fun () ->
+      timed_step
+        ~label:(fun () -> xstep_label xs)
+        ~span_name:"path.step"
+        (fun () ->
           Metrics.incr m_steps;
           match xs with
           | X_step (e, v) -> expand_step st e v
@@ -1215,90 +1323,89 @@ let run_path ~db ~params ~u ~mode ~max_cells ~env ~regex_edges ~auto_reverse
               if !use_automaton then expand_regex_nfa st xr
               else expand_regex st xr.xr_body xr.xr_op xr.xr_loc))
     plan.px_steps;
-  ( { slots = Array.of_list st.slots; rows = Array.of_list st.rows },
-    st.label_kinds )
+  { layout = st.slots; cols = st.cols }
 
-let label_positions (c : component) =
-  List.filter_map
-    (fun i ->
-      match c.slots.(i).s_label with
-      | Some l -> Some (norm l, i)
-      | None -> None)
-    (List.init (Array.length c.slots) Fun.id)
-
-let join_components (a : component) (b : component) loc : component =
-  let apos = label_positions a and bpos = label_positions b in
-  let shared =
-    List.filter (fun (l, _) -> List.mem_assoc l bpos) apos
-  in
+(* [and]: a hash join on the shared label columns. Output rows follow the
+   left operand's order, and for each left row the right matches in their
+   own order. *)
+let join_relations (a : relation) (b : relation) loc : relation =
+  let apos = label_positions a.layout and bpos = label_positions b.layout in
+  let shared = List.filter (fun (l, _) -> List.mem_assoc l bpos) apos in
   if shared = [] then
     error loc "'and' composition requires a shared label between the operands";
-  let a_keys = List.map snd shared in
-  let b_keys = List.map (fun (l, _) -> List.assoc l bpos) shared in
-  let b_drop = b_keys in
+  let a_keys = List.map (fun (_, i) -> a.cols.(i)) shared in
+  let b_key_pos = List.map (fun (l, _) -> List.assoc l bpos) shared in
+  let b_keys = List.map (fun i -> b.cols.(i)) b_key_pos in
   let b_keep =
-    List.filter (fun i -> not (List.mem i b_drop)) (List.init (Array.length b.slots) Fun.id)
+    List.filter
+      (fun i -> not (List.mem i b_key_pos))
+      (List.init (Array.length b.layout) Fun.id)
   in
-  let index = Hashtbl.create (max 16 (Array.length b.rows)) in
-  Array.iter
-    (fun row ->
-      let key = List.map (fun i -> row.(i)) b_keys in
-      Hashtbl.add index key row)
-    b.rows;
-  let out = ref [] in
-  Array.iter
-    (fun arow ->
-      let key = List.map (fun i -> arow.(i)) a_keys in
-      List.iter
-        (fun brow ->
-          let extra = List.map (fun i -> brow.(i)) b_keep in
-          out := Array.append arow (Array.of_list extra) :: !out)
-        (List.rev (Hashtbl.find_all index key)))
-    a.rows;
-  let slots =
-    Array.append a.slots (Array.of_list (List.map (fun i -> b.slots.(i)) b_keep))
-  in
-  { slots; rows = Array.of_list (List.rev !out) }
+  let key cols r = List.map (fun c -> Int_vec.unsafe_get c r) cols in
+  let nb = nrows_of b.cols in
+  let index = Hashtbl.create (max 16 nb) in
+  for r = 0 to nb - 1 do
+    let k = key b_keys r in
+    match Hashtbl.find_opt index k with
+    | Some rows -> Int_vec.push rows r
+    | None ->
+        let rows = Int_vec.create ~capacity:4 () in
+        Int_vec.push rows r;
+        Hashtbl.add index k rows
+  done;
+  let left = Int_vec.create () and right = Int_vec.create () in
+  for r = 0 to nrows_of a.cols - 1 do
+    match Hashtbl.find_opt index (key a_keys r) with
+    | Some rows ->
+        Int_vec.iter
+          (fun rb ->
+            Int_vec.push left r;
+            Int_vec.push right rb)
+          rows
+    | None -> ()
+  done;
+  let b_keep = Array.of_list b_keep in
+  {
+    layout = Array.append a.layout (Array.map (fun i -> b.layout.(i)) b_keep);
+    cols =
+      Array.append (gather_cols a.cols left)
+        (Array.map (fun i -> Int_vec.gather b.cols.(i) right) b_keep);
+  }
 
-let compatible_layout (a : component) (b : component) =
-  Array.length a.slots = Array.length b.slots
+let compatible_layout (a : relation) (b : relation) =
+  Array.length a.layout = Array.length b.layout
   && Array.for_all2
        (fun x y ->
          x.s_kind = y.s_kind
          && Option.map norm x.s_label = Option.map norm y.s_label
          && Option.map norm x.s_type_name = Option.map norm y.s_type_name)
-       a.slots b.slots
+       a.layout b.layout
 
 let mp_loc = function
   | Ast.M_path p -> p.Ast.head.Ast.v_loc
   | Ast.M_and _ | Ast.M_or _ -> Loc.dummy
 
-let run_multipath ~db ~params ~mode ?(auto_reverse = true)
-    ?(edges_needed = true) ?(max_cells = default_max_cells) mp =
+let run ~db ~params ~mode ?(auto_reverse = true) ?(edges_needed = true)
+    ?(max_bytes = default_max_bytes) mp =
   let u = Pack.universe (Db.graph db) in
   let regex_edges = Hashtbl.create 16 in
   let rec go env = function
     | Ast.M_path p ->
-        let comp, _ =
-          run_path ~db ~params ~u ~mode ~max_cells ~env ~regex_edges
-            ~auto_reverse ~edges_needed p
-        in
-        [ comp ]
+        [
+          run_path ~db ~params ~u ~mode ~max_bytes ~env ~regex_edges
+            ~auto_reverse ~edges_needed p;
+        ]
     | Ast.M_and (a, b) -> (
-        let ca = go env a in
-        match ca with
-        | [ comp_a ] ->
-            (* Export comp_a's label sets to the right operand. *)
+        match go env a with
+        | [ ra ] ->
+            (* Export ra's label sets to the right operand. *)
             let env' = Hashtbl.copy env in
             List.iter
               (fun (lname, pos) ->
-                let set = Hashtbl.create 64 in
-                Array.iter (fun row -> Hashtbl.replace set row.(pos) ()) comp_a.rows;
-                Hashtbl.replace env' lname set)
-              (label_positions comp_a);
-            let cb = go env' b in
-            (match cb with
-            | [ comp_b ] -> [ join_components comp_a comp_b (mp_loc b) ]
+                Hashtbl.replace env' lname (value_set ra.cols.(pos)))
+              (label_positions ra.layout);
+            (match go env' b with
+            | [ rb ] -> [ join_relations ra rb (mp_loc b) ]
             | _ ->
                 error (mp_loc b)
                   "'and' composition over 'or' alternatives is not supported; \
@@ -1311,11 +1418,17 @@ let run_multipath ~db ~params ~mode ?(auto_reverse = true)
         let ca = go env a and cb = go env b in
         match (ca, cb) with
         | [ x ], [ y ] when compatible_layout x y ->
-            let rows =
-              List.sort_uniq compare
-                (Array.to_list x.rows @ Array.to_list y.rows)
+            let cols =
+              Array.map2
+                (fun cx cy ->
+                  let cap = Int_vec.length cx + Int_vec.length cy in
+                  let c = Int_vec.create ~capacity:cap () in
+                  Int_vec.append c cx;
+                  Int_vec.append c cy;
+                  c)
+                x.cols y.cols
             in
-            [ { slots = x.slots; rows = Array.of_list rows } ]
+            [ { layout = x.layout; cols = sort_dedupe cols } ]
         | _ -> ca @ cb)
   in
   let comps = go (Hashtbl.create 4) mp in
@@ -1324,3 +1437,9 @@ let run_multipath ~db ~params ~mode ?(auto_reverse = true)
     universe = u;
     regex_edges = Hashtbl.fold (fun e () acc -> e :: acc) regex_edges [];
   }
+
+let run_multipath ~db ~params ~mode ?auto_reverse ?edges_needed ?max_bytes mp =
+  let r = run ~db ~params ~mode ?auto_reverse ?edges_needed ?max_bytes mp in
+  { r with comps = List.map to_component r.comps }
+
+let nrows (r : relation) = nrows_of r.cols

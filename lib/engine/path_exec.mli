@@ -3,8 +3,11 @@
 
     A query's intermediate state is a relation whose columns ("slots") are
     the vertex/edge instances matched at tracked steps; each row is one
-    partial match. Stepping expands every row along the requested edge
-    type(s) through the CSR indices, applying compiled step conditions.
+    partial match. It is stored column-wise. Stepping gathers the CSR
+    neighbors of every row's current cell into (parent row, edge, vertex)
+    candidate vectors, filters them through selection vectors (compiled
+    step conditions, label and seed membership), and gathers the earlier
+    columns by parent row.
 
     - [def X:] (set label, Eq. 6): a later reference filters candidates by
       membership in the set of X-values across live rows — forward-culled,
@@ -19,7 +22,8 @@
       sets for subgraph output).
     - Path regexes (Fig. 10) expand per-row via memoized BFS over the
       group body; [*] includes the trivial traversal, [+] at least one,
-      [{n}] exactly n rounds.
+      [{n}] exactly n rounds. The endpoints of each start cell arrive as
+      a ready-made column.
 
     The executor picks the evaluation direction using both edge indices
     (Sec. III-B): when a path carries no labels or seeds, it is run
@@ -41,17 +45,33 @@ type slot = {
   s_step : int;
 }
 
-type component = { slots : slot array; rows : int array array }
+type relation = {
+  layout : slot array;
+  cols : Graql_util.Int_vec.t array;
+      (** the binding relation, one column of packed cells per slot, all
+          of one length: [cols.(s)] at row [i] is what slot [s] binds in
+          match [i] *)
+}
 
-type result = {
-  comps : component list;  (** >1 only for [or] of incompatible layouts *)
+val nrows : relation -> int
+(** Number of matches. *)
+
+type component = { slots : slot array; rows : int array array }
+(** The row view of a {!relation} (one array per match), for callers
+    that inspect match tuples. *)
+
+type 'c outcome = {
+  comps : 'c list;  (** >1 only for [or] of incompatible layouts *)
   universe : Pack.universe;
   regex_edges : int list;  (** packed edge cells traversed inside regexes *)
 }
 
+type result = component outcome
+
 exception Exec_error of Graql_lang.Loc.t * string
 
-val default_max_cells : int
+val default_max_bytes : int
+(** 400 MB: 50M binding cells of 8 bytes. *)
 
 val use_automaton : bool ref
 (** When true (the default), regex segments run on the {!Rpq}
@@ -63,18 +83,18 @@ val rpq_determinize : bool ref
 (** Experimental: determinize regex automata by subset construction when
     the query cannot observe traversed edges. Default false. *)
 
-val run_multipath :
+val run :
   db:Db.t ->
   params:(string -> Value.t option) ->
   mode:mode ->
   ?auto_reverse:bool ->
   ?edges_needed:bool ->
-  ?max_cells:int ->
+  ?max_bytes:int ->
   Ast.multipath ->
-  result
+  relation outcome
 (** Raises {!Exec_error} on unresolvable names (the static checker should
-    reject these earlier) and when the binding relation exceeds
-    [max_cells] (default {!default_max_cells}) — the paper's "large
+    reject these earlier) and when the binding relation outgrows
+    [max_bytes] (default {!default_max_bytes}) — the paper's "large
     intermediate results" are surfaced as a diagnosable failure instead of
     memory exhaustion. [auto_reverse] defaults to [true]. [edges_needed]
     (default [true], the conservative choice) tells the planner whether
@@ -82,6 +102,17 @@ val run_multipath :
     [select ... into subgraph] with a [*] target can, and passing [false]
     both skips edge-noting work and lets the planner reverse regex
     paths. *)
+
+val run_multipath :
+  db:Db.t ->
+  params:(string -> Value.t option) ->
+  mode:mode ->
+  ?auto_reverse:bool ->
+  ?edges_needed:bool ->
+  ?max_bytes:int ->
+  Ast.multipath ->
+  result
+(** {!run}, with each relation transposed into its row view. *)
 
 (* ------------------------------------------------------------------ *)
 (* Planned paths (shared with EXPLAIN)                                 *)

@@ -1,18 +1,23 @@
 module Ast = Graql_lang.Ast
 module Loc = Graql_lang.Loc
 module Table = Graql_storage.Table
+module Column = Graql_storage.Column
 module Schema = Graql_storage.Schema
 module Value = Graql_storage.Value
 module Dtype = Graql_storage.Dtype
 module Vset = Graql_graph.Vset
 module Eset = Graql_graph.Eset
 module Subgraph = Graql_graph.Subgraph
+module Bitset = Graql_util.Bitset
+module Int_vec = Graql_util.Int_vec
 module Row_expr = Graql_relational.Row_expr
 
 exception Result_error of Loc.t * string
 
 let error loc fmt = Printf.ksprintf (fun msg -> raise (Result_error (loc, msg))) fmt
 let norm = String.lowercase_ascii
+
+type bindings = Path_exec.relation Path_exec.outcome
 
 (* ------------------------------------------------------------------ *)
 (* Subgraph capture                                                    *)
@@ -23,9 +28,26 @@ let slot_matches_name (s : Path_exec.slot) name =
      | Some t -> norm t = norm name
      | None -> false
 
-let to_subgraph ~name ~targets ~loc (res : Path_exec.result) =
+(* One membership bitset per vertex / edge type, allocated on first use:
+   a type appears in the subgraph only if some cell of it was captured. *)
+let type_bits sizes =
+  let bits = Array.make (Array.length sizes) None in
+  let mark cell =
+    let t = Pack.tidx cell in
+    let b =
+      match bits.(t) with
+      | Some b -> b
+      | None ->
+          let b = Bitset.create sizes.(t) in
+          bits.(t) <- Some b;
+          b
+    in
+    Bitset.set b (Pack.id cell)
+  in
+  (bits, mark)
+
+let to_subgraph ~name ~targets ~loc (res : bindings) =
   let u = res.Path_exec.universe in
-  let sg = Subgraph.empty name in
   let star = List.exists (fun t -> t = Ast.T_star) targets in
   let wanted_names =
     List.filter_map
@@ -37,41 +59,35 @@ let to_subgraph ~name ~targets ~loc (res : Path_exec.result) =
               "subgraph output selects steps or labels, not expressions")
       targets
   in
-  let add_cell_v seen cell =
-    if not (Hashtbl.mem seen cell) then begin
-      Hashtbl.replace seen cell ();
-      let vset = u.Pack.vtypes.(Pack.tidx cell) in
-      Subgraph.add_vertex_list sg ~vtype:(Vset.name vset) [ Pack.id cell ]
-        ~size:(Vset.size vset)
-    end
-  in
-  let add_cell_e seen cell =
-    if not (Hashtbl.mem seen cell) then begin
-      Hashtbl.replace seen cell ();
-      let eset = u.Pack.etypes.(Pack.tidx cell) in
-      Subgraph.add_edges sg ~etype:(Eset.name eset) [ Pack.id cell ]
-    end
-  in
-  let seen_v = Hashtbl.create 1024 and seen_e = Hashtbl.create 1024 in
+  let vbits, mark_v = type_bits (Array.map Vset.size u.Pack.vtypes) in
+  let ebits, mark_e = type_bits (Array.map Eset.size u.Pack.etypes) in
   List.iter
-    (fun (comp : Path_exec.component) ->
+    (fun (rel : Path_exec.relation) ->
       Array.iteri
         (fun i (slot : Path_exec.slot) ->
-          let wanted =
-            star
-            || List.exists (slot_matches_name slot) wanted_names
-          in
-          if wanted then
+          if star || List.exists (slot_matches_name slot) wanted_names then
             match slot.Path_exec.s_kind with
-            | `V ->
-                Array.iter (fun row -> add_cell_v seen_v row.(i)) comp.Path_exec.rows
-            | `E ->
-                if star then
-                  Array.iter (fun row -> add_cell_e seen_e row.(i)) comp.Path_exec.rows)
-        comp.Path_exec.slots)
+            | `V -> Int_vec.iter mark_v rel.Path_exec.cols.(i)
+            | `E -> if star then Int_vec.iter mark_e rel.Path_exec.cols.(i))
+        rel.Path_exec.layout)
     res.Path_exec.comps;
-  if star then List.iter (add_cell_e seen_e) res.Path_exec.regex_edges;
+  if star then List.iter mark_e res.Path_exec.regex_edges;
   ignore loc;
+  let sg = Subgraph.empty name in
+  Array.iteri
+    (fun t bits ->
+      Option.iter
+        (Subgraph.add_vertices sg ~vtype:(Vset.name u.Pack.vtypes.(t)))
+        bits)
+    vbits;
+  Array.iteri
+    (fun t bits ->
+      Option.iter
+        (fun b ->
+          Subgraph.add_edges sg ~etype:(Eset.name u.Pack.etypes.(t))
+            (Bitset.to_list b))
+        bits)
+    ebits;
   sg
 
 (* ------------------------------------------------------------------ *)
@@ -96,8 +112,8 @@ let cell_attr u (kind : [ `V | `E ]) cell attr =
       | None -> Value.Null)
 
 (* Positions of slots matching a qualifier; labels take precedence. *)
-let resolve_qualifier (comp : Path_exec.component) qual loc =
-  let slots = comp.Path_exec.slots in
+let resolve_qualifier (rel : Path_exec.relation) qual loc =
+  let slots = rel.Path_exec.layout in
   let by_label =
     List.filter
       (fun i ->
@@ -126,33 +142,40 @@ let resolve_qualifier (comp : Path_exec.component) qual loc =
             "%S appears at several steps; label the one you mean (def %s:)"
             qual qual)
 
-(* Static dtype of slot.attr when the slot is single-typed. *)
-let slot_attr_dtype u (slot : Path_exec.slot) attr =
+(* The attribute table behind a single-typed slot, and the map from an
+   entity id to its row there. Every cell of a slot with a declared type
+   is of that type. *)
+let slot_source u (slot : Path_exec.slot) =
   match (slot.Path_exec.s_kind, slot.Path_exec.s_type_name) with
   | `V, Some t -> (
       match Pack.vtype_index u t with
-      | Some tidx -> (
-          let schema = Vset.attr_schema u.Pack.vtypes.(tidx) in
-          match Schema.find schema attr with
-          | Some i -> Some (Schema.col_dtype schema i)
-          | None -> None)
+      | Some tidx ->
+          let vset = u.Pack.vtypes.(tidx) in
+          Some (Vset.attr_table vset, Vset.attr_row vset)
       | None -> None)
   | `E, Some t -> (
       match Pack.etype_index u t with
       | Some tidx -> (
-          match Eset.attr_table u.Pack.etypes.(tidx) with
-          | Some table -> (
-              let schema = Table.schema table in
-              match Schema.find schema attr with
-              | Some i -> Some (Schema.col_dtype schema i)
-              | None -> None)
+          let eset = u.Pack.etypes.(tidx) in
+          match Eset.attr_table eset with
+          | Some table -> Some (table, Eset.attr_row eset)
           | None -> None)
       | None -> None)
   | _, None -> None
 
-(* Compile a target expression against a component layout. Sources are
+(* Static dtype of slot.attr when the slot is single-typed. *)
+let slot_attr_dtype u (slot : Path_exec.slot) attr =
+  match slot_source u slot with
+  | Some (table, _) -> (
+      let schema = Table.schema table in
+      match Schema.find schema attr with
+      | Some i -> Some (Schema.col_dtype schema i)
+      | None -> None)
+  | None -> None
+
+(* Compile a target expression against a relation layout. Sources are
    (slot position, attr name) pairs resolved per row. *)
-let compile_target u (comp : Path_exec.component) ~params expr =
+let compile_target u (rel : Path_exec.relation) ~params expr =
   let sources = ref [] in
   let nsources = ref 0 in
   let add src =
@@ -169,9 +192,9 @@ let compile_target u (comp : Path_exec.component) ~params expr =
                Printf.sprintf
                  "attribute %S must be qualified by a step type or label" attr ))
     | Some q ->
-        let pos = resolve_qualifier comp q loc in
+        let pos = resolve_qualifier rel q loc in
         let dtype =
-          match slot_attr_dtype u comp.Path_exec.slots.(pos) attr with
+          match slot_attr_dtype u rel.Path_exec.layout.(pos) attr with
           | Some t -> t
           | None -> Dtype.Varchar 255
         in
@@ -179,18 +202,27 @@ let compile_target u (comp : Path_exec.component) ~params expr =
   in
   let lowered = Compile_expr.compile ~params binder expr in
   let sources = Array.of_list (List.rev !sources) in
-  fun (row : int array) ->
+  fun row ->
     let get i =
       let pos, attr = sources.(i) in
-      let slot = comp.Path_exec.slots.(pos) in
-      cell_attr u slot.Path_exec.s_kind row.(pos) attr
+      let slot = rel.Path_exec.layout.(pos) in
+      cell_attr u slot.Path_exec.s_kind
+        (Int_vec.unsafe_get rel.Path_exec.cols.(pos) row)
+        attr
     in
     Row_expr.eval get lowered
 
+(* How one output column is filled: gathered from an attribute column
+   through its slot's row index, or evaluated row by row — the fallback
+   for computed targets and for slots that mix entity types. *)
+type fill =
+  | Gather of { pos : int; attr_row : int -> int; src : Column.t }
+  | Eval of (int -> Value.t)
+
 (* Columns for [select *]: every slot, in display (s_step) order, expanded
    to its full attribute schema, prefixed by label or type name. *)
-let star_columns u (comp : Path_exec.component) loc =
-  let slots = comp.Path_exec.slots in
+let star_columns u (rel : Path_exec.relation) loc =
+  let slots = rel.Path_exec.layout in
   let order =
     List.sort
       (fun a b -> compare slots.(a).Path_exec.s_step slots.(b).Path_exec.s_step)
@@ -220,97 +252,109 @@ let star_columns u (comp : Path_exec.component) loc =
               "select * into table is not supported over type-matching [ ] \
                steps; name the outputs instead"
       in
-      let schema =
-        match (slot.Path_exec.s_kind, slot.Path_exec.s_type_name) with
-        | `V, Some t ->
-            Vset.attr_schema
-              u.Pack.vtypes.(Option.get (Pack.vtype_index u t))
-        | `E, Some t -> (
-            match
-              Eset.attr_table u.Pack.etypes.(Option.get (Pack.etype_index u t))
-            with
-            | Some table -> Table.schema table
-            | None -> Schema.make [])
-        | _, None -> error loc "select * over unnamed steps is not supported"
-      in
+      if Option.is_none slot.Path_exec.s_type_name then
+        error loc "select * over unnamed steps is not supported";
       let prefix = unique display in
-      List.map
-        (fun i ->
-          ( pos,
-            Schema.col_name schema i,
-            {
-              Schema.name = prefix ^ "." ^ Schema.col_name schema i;
-              dtype = Schema.col_dtype schema i;
-            } ))
-        (List.init (Schema.arity schema) Fun.id))
+      match slot_source u slot with
+      | None -> []
+      | Some (table, attr_row) ->
+          let schema = Table.schema table in
+          List.init (Schema.arity schema) (fun i ->
+              ( {
+                  Schema.name = prefix ^ "." ^ Schema.col_name schema i;
+                  dtype = Schema.col_dtype schema i;
+                },
+                Gather { pos; attr_row; src = Table.column table i } )))
     order
 
-let single_component ~loc (res : Path_exec.result) =
+let single_component ~loc (res : bindings) =
   match res.Path_exec.comps with
-  | [ comp ] -> comp
+  | [ rel ] -> rel
   | [] -> error loc "query produced no result component"
   | _ ->
       error loc
         "'or' alternatives with different shapes cannot be captured into a \
          table; capture a subgraph instead"
 
-let to_table ~name ~targets ~params ~loc (res : Path_exec.result) =
+let target_columns u rel ~params targets =
+  List.map
+    (function
+      | Ast.T_star -> assert false
+      | Ast.T_expr (e, alias) ->
+          let cname =
+            match (alias, e) with
+            | Some a, _ -> a
+            | None, Ast.E_attr (_, a, _) -> a
+            | None, _ ->
+                error (Ast.expr_loc e) "computed select target needs an 'as' alias"
+          in
+          let gathered =
+            match e with
+            | Ast.E_attr (Some q, a, l) -> (
+                let pos = resolve_qualifier rel q l in
+                match slot_source u rel.Path_exec.layout.(pos) with
+                | Some (table, attr_row) ->
+                    let schema = Table.schema table in
+                    Option.map
+                      (fun i ->
+                        ( Schema.col_dtype schema i,
+                          Gather { pos; attr_row; src = Table.column table i } ))
+                      (Schema.find schema a)
+                | None -> None)
+            | _ -> None
+          in
+          let dtype, fill =
+            match gathered with
+            | Some g -> g
+            | None -> (
+                (* Computed targets and attributes of mixed-type slots have
+                   no static type: evaluated per row into a varchar. *)
+                try (Dtype.Varchar 255, Eval (compile_target u rel ~params e))
+                with Compile_expr.Compile_error (l, msg) -> error l "%s" msg)
+          in
+          ({ Schema.name = cname; dtype }, fill))
+    targets
+
+let to_table ~name ~targets ~params ~loc (res : bindings) =
   let u = res.Path_exec.universe in
-  let comp = single_component ~loc res in
-  if List.exists (fun t -> t = Ast.T_star) targets then begin
-    let cols = star_columns u comp loc in
-    let schema = Schema.make (List.map (fun (_, _, c) -> c) cols) in
-    let out = Table.create ~name schema in
-    Array.iter
-      (fun row ->
-        let values =
-          List.map
-            (fun (pos, attr, _) ->
-              let slot = comp.Path_exec.slots.(pos) in
-              cell_attr u slot.Path_exec.s_kind row.(pos) attr)
-            cols
+  let rel = single_component ~loc res in
+  let specs =
+    if List.exists (fun t -> t = Ast.T_star) targets then star_columns u rel loc
+    else target_columns u rel ~params targets
+  in
+  let schema = Schema.make (List.map fst specs) in
+  let n = Path_exec.nrows rel in
+  (* Each gathered slot maps its cells to attribute-table rows once. *)
+  let row_index = Hashtbl.create 4 in
+  let rows_of pos attr_row =
+    match Hashtbl.find_opt row_index pos with
+    | Some rows -> rows
+    | None ->
+        let col = rel.Path_exec.cols.(pos) in
+        let rows =
+          Array.init n (fun i -> attr_row (Pack.id (Int_vec.unsafe_get col i)))
         in
-        Table.append_row out values)
-      comp.Path_exec.rows;
-    out
-  end
-  else begin
-    let specs =
-      List.map
-        (function
-          | Ast.T_star -> assert false
-          | Ast.T_expr (e, alias) ->
-              let cname =
-                match (alias, e) with
-                | Some a, _ -> a
-                | None, Ast.E_attr (_, a, _) -> a
-                | None, _ ->
-                    error (Ast.expr_loc e)
-                      "computed select target needs an 'as' alias"
-              in
-              let dtype =
-                match e with
-                | Ast.E_attr (Some q, a, l) -> (
-                    let pos = resolve_qualifier comp q l in
-                    match slot_attr_dtype u comp.Path_exec.slots.(pos) a with
-                    | Some t -> t
-                    | None -> Dtype.Varchar 255)
-                | _ -> Dtype.Varchar 255
-              in
-              let eval =
-                try compile_target u comp ~params e
-                with Compile_expr.Compile_error (l, msg) -> error l "%s" msg
-              in
-              (cname, dtype, eval))
-        targets
-    in
-    let schema =
-      Schema.make (List.map (fun (n, t, _) -> { Schema.name = n; dtype = t }) specs)
-    in
-    let out = Table.create ~name schema in
-    Array.iter
-      (fun row ->
-        Table.append_row out (List.map (fun (_, _, eval) -> eval row) specs))
-      comp.Path_exec.rows;
-    out
-  end
+        Hashtbl.replace row_index pos rows;
+        rows
+  in
+  let columns =
+    List.map
+      (fun ({ Schema.name = cname; dtype }, fill) ->
+        match fill with
+        | Gather { pos; attr_row; src } ->
+            let dst = Column.create_sized ~share_dict_of:src dtype n in
+            Column.gather_into ~src ~rows:(rows_of pos attr_row) ~dst ~lo:0
+              ~hi:n;
+            Column.track_stats dst;
+            dst
+        | Eval eval ->
+            let c = Column.create ~expected:n dtype in
+            for r = 0 to n - 1 do
+              try Column.append c (eval r)
+              with Failure msg ->
+                failwith (Printf.sprintf "table %s, column %s: %s" name cname msg)
+            done;
+            c)
+      specs
+  in
+  Table.of_columns ~name schema (Array.of_list columns)

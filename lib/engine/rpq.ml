@@ -5,6 +5,7 @@ module Vset = Graql_graph.Vset
 module Eset = Graql_graph.Eset
 module Csr = Graql_graph.Csr
 module Bitset = Graql_util.Bitset
+module Int_vec = Graql_util.Int_vec
 module Pool = Graql_parallel.Domain_pool
 module Metrics = Graql_obs.Metrics
 
@@ -784,7 +785,7 @@ let eval a ?pool ?stats ?note ~start () =
   let exit_pass cell =
     match a.a_exit with None -> true | Some ch -> vcheck_pass ch cell
   in
-  let out = ref [] in
+  let out = Int_vec.create () in
   for t = 0 to nv - 1 do
     let rows =
       List.filter_map
@@ -806,7 +807,7 @@ let eval a ?pool ?stats ?note ~start () =
         Bitset.iter
           (fun id ->
             let cell = Pack.pack ~tidx:t ~id in
-            if exit_pass cell then out := cell :: !out)
+            if exit_pass cell then Int_vec.push out cell)
           b
   done;
-  List.rev !out
+  out

@@ -109,10 +109,11 @@ val eval :
   ?note:(int -> unit) ->
   start:int ->
   unit ->
-  int list
+  Graql_util.Int_vec.t
 (** [eval a ~start ()] runs product BFS from packed vertex cell [start]
     and returns the packed endpoint cells, sorted ascending (the closure
-    engine's order). [note] receives every packed edge cell lying on a
+    engine's order), as the column the path executor appends to its
+    binding relation. [note] receives every packed edge cell lying on a
     complete body traversal — exactly the closure engine's reported set.
     [stats.(s)] is incremented by the number of product pairs visited at
     state [s]. When [pool] is given, frontiers past a size threshold are

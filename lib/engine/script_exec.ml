@@ -102,7 +102,7 @@ let exec_select_graph db (sg : Ast.select_graph) =
   let params = params_of db in
   let mode = mode_of_graph_select sg in
   let res =
-    Path_exec.run_multipath ~db ~params ~mode
+    Path_exec.run ~db ~params ~mode
       ~edges_needed:(Explain.edges_needed_of_select sg)
       sg.Ast.sg_path
   in
@@ -185,6 +185,11 @@ let exec_stmt ?(loader = default_loader) db stmt =
 (* Dependence analysis (Sec. III-B1)                                   *)
 
 let graph_entity = "__graph__"
+
+(* [create table] statements are ordered among themselves: the catalog's
+   registration order is the export order, and recovery replays the WAL
+   in log order, so completion order must not decide it. *)
+let catalog_entity = "__catalog__"
 
 let rec expr_names acc = function
   | Ast.E_attr (Some q, _, _) -> norm q :: acc
@@ -269,7 +274,7 @@ let defs stmt =
   | Ast.Create_edge { ce_name; _ } -> [ norm ce_name; graph_entity ]
   | Ast.Ingest { ing_table; _ } -> [ norm ing_table; graph_entity ]
   | Ast.Set_param { sp_name; _ } -> [ "%" ^ norm sp_name ]
-  | Ast.Create_table { ct_name; _ } -> [ norm ct_name ]
+  | Ast.Create_table { ct_name; _ } -> [ norm ct_name; catalog_entity ]
   | Ast.Select_graph _ | Ast.Select_table _ -> (
       match Ast.stmt_defines stmt with Some n -> [ norm n ] | None -> [])
 

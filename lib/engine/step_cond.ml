@@ -154,3 +154,6 @@ let eval t ~row ~entity =
 
 let eval_vertex t ~row ~vertex = eval t ~row ~entity:vertex
 let eval_edge t ~row ~edge = eval t ~row ~entity:edge
+
+let reads_slots t =
+  Array.exists (function S_slot _ -> true | S_self _ -> false) t.sources

@@ -41,3 +41,7 @@ val eval_vertex : t -> row:int array -> vertex:int -> bool
 (** [vertex] is the raw (unpacked) candidate id. *)
 
 val eval_edge : t -> row:int array -> edge:int -> bool
+
+val reads_slots : t -> bool
+(** Whether the condition reads earlier steps' bindings through [row];
+    when it does not, callers may pass [[||]] instead of building one. *)

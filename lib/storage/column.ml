@@ -2,17 +2,23 @@ type payload =
   | Ints of { mutable data : int array }
   | Floats of { mutable data : float array }
 
+(* Dictionary ids a column holds, for Varchar columns whose intern pool
+   is shared with (and grown by) another column. *)
+type id_set = { mutable seen : Bytes.t; mutable count : int }
+
 (* Incrementally maintained ingest statistics. [t_min]/[t_max] cover the
    raw int payload (meaningful to the planner for Int/Date dtypes); the
    sketch is a linear-counting bitmap over hashed payloads giving a
-   distinct estimate for non-varchar columns (Varchar reads its distinct
-   count off the dictionary for free). *)
+   distinct estimate for non-varchar columns. A Varchar column reads its
+   distinct count off its own dictionary for free, or off [t_ids] when the
+   dictionary is shared. *)
 type tracker = {
   mutable t_nulls : int;
   mutable t_min : int;
   mutable t_max : int;
   mutable t_has_range : bool;
   t_sketch : Bytes.t;
+  t_ids : id_set option;
 }
 
 type stats = {
@@ -30,21 +36,38 @@ type t = {
   dict : Graql_util.Intern.t option;
   mutable nulls : Bytes.t; (* bitmap, grows with the column *)
   mutable any_null : bool;
-  tracker : tracker option; (* None for gathered (create_sized) columns *)
+  mutable tracker : tracker option;
+      (* None for gathered (create_sized) columns until [track_stats] *)
 }
 
 (* 8192-bit linear-counting sketch: 1 KiB per column, saturates near the
    sketch size — [stats] caps the estimate at the non-null row count. *)
 let sketch_bits = 8192
 
-let fresh_tracker () =
+let fresh_tracker ?ids () =
   {
     t_nulls = 0;
     t_min = 0;
     t_max = 0;
     t_has_range = false;
     t_sketch = Bytes.make (sketch_bits / 8) '\000';
+    t_ids = ids;
   }
+
+let add_id ids x =
+  let b = x lsr 3 and m = 1 lsl (x land 7) in
+  if b >= Bytes.length ids.seen then begin
+    let cap = ref (max 16 (Bytes.length ids.seen)) in
+    while !cap <= b do cap := !cap * 2 done;
+    let seen = Bytes.make !cap '\000' in
+    Bytes.blit ids.seen 0 seen 0 (Bytes.length ids.seen);
+    ids.seen <- seen
+  end;
+  let c = Char.code (Bytes.unsafe_get ids.seen b) in
+  if c land m = 0 then begin
+    Bytes.unsafe_set ids.seen b (Char.unsafe_chr (c lor m));
+    ids.count <- ids.count + 1
+  end
 
 let sketch_add tr x =
   let h = Graql_util.Int_table.mix x land (sketch_bits - 1) in
@@ -146,7 +169,10 @@ let note_int t x =
         tr.t_max <- x;
         tr.t_has_range <- true
       end;
-      if t.dict = None then sketch_add tr x
+      match (t.dict, tr.t_ids) with
+      | None, _ -> sketch_add tr x
+      | Some _, Some ids -> add_id ids x
+      | Some _, None -> ()
 
 let note_float t x =
   match t.tracker with
@@ -260,9 +286,10 @@ let stats t =
   | Some tr ->
       let nonnull = t.len - tr.t_nulls in
       let distinct =
-        match t.dict with
-        | Some d -> float_of_int (Graql_util.Intern.size d)
-        | None ->
+        match (t.dict, tr.t_ids) with
+        | Some _, Some ids -> float_of_int ids.count
+        | Some d, None -> float_of_int (Graql_util.Intern.size d)
+        | None, _ ->
             if nonnull = 0 then 0.0
             else begin
               (* Linear counting: -m ln(z/m) for z empty bits of m. *)
@@ -300,7 +327,8 @@ let stats t =
    intern pool so dictionary ids can be copied verbatim — interning later
    strings through a shared pool is safe because existing ids never move.
    Gathered columns carry no statistics tracker (writes bypass the ingest
-   path); the planner falls back to plain row counts for them. *)
+   path) until [track_stats]; the planner falls back to plain row counts
+   for them. *)
 let create_sized ?share_dict_of dtype n =
   let payload =
     match dtype with
@@ -395,3 +423,26 @@ let approx_bytes t =
         !chars
   in
   payload + nulls + dict
+
+(* Ingest-equivalent statistics for a gathered column, from one scan of
+   its payload: the figures [append] would have tracked had the same
+   values been appended one by one. A dictionary-shared Varchar column
+   counts the ids it holds, so its distinct count neither reports the
+   shared pool's size nor moves when another column grows the pool. *)
+let track_stats t =
+  if Option.is_none t.tracker then begin
+    let ids =
+      match t.dict with
+      | Some _ -> Some { seen = Bytes.empty; count = 0 }
+      | None -> None
+    in
+    let tr = fresh_tracker ?ids () in
+    t.tracker <- Some tr;
+    for i = 0 to t.len - 1 do
+      if is_null t i then tr.t_nulls <- tr.t_nulls + 1
+      else
+        match t.payload with
+        | Ints r -> note_int t (Array.unsafe_get r.data i)
+        | Floats r -> note_float t (Array.unsafe_get r.data i)
+    done
+  end

@@ -29,9 +29,16 @@ val length : t -> int
 
 val stats : t -> stats option
 (** Incrementally maintained ingest statistics, or [None] for gathered
-    ({!create_sized}) columns whose writes bypass the tracked append path.
-    Statistics survive checkpoint/recovery because recovery replays the
-    ingest path. *)
+    ({!create_sized}) columns whose writes bypass the tracked append path
+    (until {!track_stats}). Statistics survive checkpoint/recovery because
+    recovery replays the ingest path. *)
+
+val track_stats : t -> unit
+(** Give a gathered column the statistics {!append} would have tracked
+    for the same values, from one scan of its payload; later appends keep
+    them current. A dictionary-shared Varchar column counts the distinct
+    ids it holds rather than the shared dictionary's size. No-op on a
+    column that already tracks statistics. *)
 
 val append : t -> Value.t -> unit
 (** Raises [Failure] on a type mismatch (the ingest layer surfaces this

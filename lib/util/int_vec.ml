@@ -46,6 +46,16 @@ let blit_into src dst pos = Array.blit src.data 0 dst pos src.len
 
 let unsafe_get t i = Array.unsafe_get t.data i
 
+let gather src idx =
+  let n = idx.len in
+  let data = Array.make (max n 1) 0 in
+  for i = 0 to n - 1 do
+    let j = Array.unsafe_get idx.data i in
+    if j < 0 || j >= src.len then invalid_arg "Int_vec.gather: out of bounds";
+    Array.unsafe_set data i (Array.unsafe_get src.data j)
+  done;
+  { data; len = n }
+
 let sort_unique t =
   let a = to_array t in
   Array.sort compare a;

@@ -28,5 +28,9 @@ val blit_into : t -> int array -> int -> unit
 val unsafe_get : t -> int -> int
 (** No bounds check; caller guarantees [0 <= i < length t]. *)
 
+val gather : t -> t -> t
+(** [gather src idx] is the vector of [src.(idx.(i))] for every position
+    [i] of [idx]. Raises [Invalid_argument] on an index outside [src]. *)
+
 val sort_unique : t -> t
 (** Fresh vector with sorted, deduplicated contents. *)

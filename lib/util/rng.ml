@@ -38,8 +38,14 @@ let pick t a =
   a.(int t (Array.length a))
 
 (* Rejection-free inverse-CDF Zipf is costly to set up per call; callers
-   generate many samples with the same (n, s), so memoize the CDF. *)
+   generate many samples with the same (n, s), so memoize the CDF. The
+   memo is bounded by the floats it holds, not by its entry count: a
+   generator that first draws once each from many small CDFs must not
+   lock its large, hot CDFs out of the table. Past the bound the table
+   starts over, and a CDF larger than the bound is still kept, alone. *)
 let zipf_cache : (int * float, float array) Hashtbl.t = Hashtbl.create 7
+let zipf_cache_floats = ref 0
+let zipf_cache_bound = 1 lsl 20
 
 let zipf t ~n ~s =
   if n <= 0 then invalid_arg "Rng.zipf";
@@ -51,7 +57,12 @@ let zipf t ~n ~s =
         let total = Array.fold_left ( +. ) 0.0 w in
         let acc = ref 0.0 in
         let cdf = Array.map (fun x -> acc := !acc +. (x /. total); !acc) w in
-        if Hashtbl.length zipf_cache < 64 then Hashtbl.add zipf_cache (n, s) cdf;
+        if !zipf_cache_floats + n > zipf_cache_bound then begin
+          Hashtbl.reset zipf_cache;
+          zipf_cache_floats := 0
+        end;
+        Hashtbl.add zipf_cache (n, s) cdf;
+        zipf_cache_floats := !zipf_cache_floats + n;
         cdf
   in
   let u = float t 1.0 in

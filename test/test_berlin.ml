@@ -317,6 +317,40 @@ let test_csv_deterministic () =
   check "seed changes data" true
     (Gen.csv_files ~seed:1 ~scale:1 () <> Gen.csv_files ~seed:2 ~scale:1 ())
 
+(* MD5 of every SF4 file at seed 42, as generated when the Zipf CDF memo
+   still capped its entry count: the memo must only memoize. *)
+let sf4_digests =
+  [
+    ("features.csv", "901ee64af1e9e697ab56245ac84a5eaa");
+    ("offers.csv", "f5eea1b141d009ae585d88445b7e1d9f");
+    ("persons.csv", "6b3b60b493dbdbef4004e2052621dc7d");
+    ("producers.csv", "c2928c4de3542cd7079b517a832e9ff5");
+    ("productfeatures.csv", "b5005cb805825618e8377c506e9b0088");
+    ("products.csv", "6a247225a23c24dd32257c38575fab97");
+    ("producttypes.csv", "1172e1c66cd96765fcdf7ba79c743554");
+    ("reviews.csv", "18d36009d3450ec5794037990ce25fa6");
+    ("types.csv", "00685faf3625dd4e264d13cd1f606e31");
+    ("vendors.csv", "d4860c1124edd4e08fd16b9fbafd6148");
+  ]
+
+let test_sf4_bytes_unchanged () =
+  let files = Gen.csv_files ~seed:42 ~scale:4 () in
+  check_int "file count" (List.length sf4_digests) (List.length files);
+  List.iter
+    (fun (name, md5) ->
+      Alcotest.(check string) name md5
+        (Digest.to_hex (Digest.string (List.assoc name files))))
+    sf4_digests
+
+(* The type hierarchy draws from many small CDFs before the product,
+   offer and review draws; those large CDFs must still be memoized, or
+   every draw rebuilds one (seconds at SF32). *)
+let test_sf32_generation_fast () =
+  let t0 = Unix.gettimeofday () in
+  ignore (Gen.csv_files ~seed:7 ~scale:32 ());
+  let s = Unix.gettimeofday () -. t0 in
+  check (Printf.sprintf "SF32 generated in %.2f s (< 1 s)" s) true (s < 1.0)
+
 let () =
   Alcotest.run "berlin"
     [
@@ -325,6 +359,9 @@ let () =
           Alcotest.test_case "ingest counts" `Quick test_ingest_counts;
           Alcotest.test_case "views built" `Quick test_views_built;
           Alcotest.test_case "generator determinism" `Quick test_csv_deterministic;
+          Alcotest.test_case "SF4 bytes unchanged" `Quick test_sf4_bytes_unchanged;
+          Alcotest.test_case "SF32 generation under 1 s" `Quick
+            test_sf32_generation_fast;
         ] );
       ( "queries-vs-oracles",
         [

@@ -690,7 +690,7 @@ let test_cell_budget_enforced () =
   let run max_cells =
     Path_exec.run_multipath ~db
       ~params:(fun _ -> None)
-      ~mode:Path_exec.Keep_all ~max_cells mp
+      ~mode:Path_exec.Keep_all ~max_bytes:(8 * max_cells) mp
   in
   (* Generous budget: fine. *)
   ignore (run 1_000_000);
@@ -933,7 +933,13 @@ let test_dependence_edges () =
   check "ingest after create" true (dep 0 1);
   check "select after ingest" true (dep 1 2);
   check "D after B" true (dep 2 4);
-  check "independent selects unordered" false (dep 2 3 || dep 3 2)
+  check "independent selects unordered" false (dep 2 3 || dep 3 2);
+  (* Table creation order is catalog (and export) order: the WAL must log
+     it as it happens. *)
+  check "create tables ordered" true
+    (List.mem (0, 1)
+       (Script_exec.dependence_edges
+          (Parser.parse_script "create table P(x integer) create table Q(y integer)")))
 
 let test_parallel_script_equals_serial () =
   let pool = Graql_parallel.Domain_pool.create ~domains:4 () in

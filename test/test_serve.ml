@@ -961,8 +961,14 @@ let test_trace_stitching () =
   Fun.protect ~finally:(fun () -> Client.close cl) @@ fun () ->
   let trace = Trace.new_trace_id () in
   ignore (expect_ok "traced stmt" (Client.run ~trace cl "set %traced% = 1"));
-  wait_until "the traced record to reach the follower" (fun () ->
-      Follower.offset f = Wal.size wal && Follower.lag_records f = 0);
+  (* The primary records [repl.ack] in this trace when the follower's
+     ack arrives, which can trail the follower's own progress. *)
+  wait_until "the traced record to reach the follower and be acked" (fun () ->
+      Follower.offset f = Wal.size wal
+      && Follower.lag_records f = 0
+      && List.exists
+           (fun e -> e.Trace.ev_name = "repl.ack")
+           (Trace.events_of_trace trace));
   let evs = Trace.events_of_trace trace in
   let find name =
     match List.find_opt (fun e -> e.Trace.ev_name = name) evs with
