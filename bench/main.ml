@@ -1235,7 +1235,10 @@ let sweep_regex_depth () =
 (* SNB deep traversals (DESIGN.md §15): the Kleene-star workload through
    the memoized-closure regex path and through the product-automaton
    engine, every answer checked against the CSV oracles before timing.
-   Backing data for BENCH_snb.json (--json mode). *)
+   The [_edges] rows time the automaton with traversed-edge noting on,
+   the path [select * ... into subgraph] takes; their noted edges are
+   checked against the closure engine's. Backing data for BENCH_snb.json
+   (--json mode). *)
 let sweep_snb ?(json = false) () =
   print_endline
     "\n== SNB deep traversals: memoized closure vs product automaton ==";
@@ -1276,6 +1279,16 @@ let sweep_snb ?(json = false) () =
       ~finally:(fun () -> Graql.Path_exec.use_automaton := saved)
       f
   in
+  (* Automaton runs take tens of microseconds here: best of 3 swings by
+     half between runs, best of 25 stays inside the gate's tolerance. *)
+  let rpq_reps = 25 in
+  let noted_edges path =
+    Graql.Path_exec.regex_edge_list
+      (Graql.Path_exec.run ~db:d
+         ~params:(fun _ -> None)
+         ~mode:Graql.Path_exec.Keep_all ~edges_needed:true
+         (Graql.Ast.M_path path))
+  in
   let queries =
     [
       ( "knows_plus",
@@ -1310,22 +1323,42 @@ let sweep_snb ?(json = false) () =
         in
         let rpq =
           with_engine true (fun () ->
-              time_best (fun () -> ignore (endpoints path)))
+              time_best ~reps:rpq_reps (fun () -> ignore (endpoints path)))
         in
-        (name, closure, rpq))
+        (name, Some closure, rpq))
       queries
   in
+  let edge_entries =
+    List.map
+      (fun (name, path) ->
+        if with_engine true (fun () -> noted_edges path)
+           <> with_engine false (fun () -> noted_edges path)
+        then failwith (Printf.sprintf "snb %s: noted edges differ" name);
+        let rpq =
+          with_engine true (fun () ->
+              time_best ~reps:rpq_reps (fun () -> ignore (noted_edges path)))
+        in
+        (name ^ "_edges", None, rpq))
+      [
+        ("knows_plus", Graql.Snb.Queries.path_knows_plus ~person);
+        ("knows_knows_plus", Graql.Snb.Queries.path_knows_knows_plus ~person);
+      ]
+  in
+  let entries = entries @ edge_entries in
   print_endline
     (Graql_util.Text_table.render
        ~header:[ "traversal"; "closure(ms)"; "automaton(ms)"; "speedup" ]
        (List.map
           (fun (name, closure, rpq) ->
-            [
-              name;
-              ms closure;
-              ms rpq;
-              Printf.sprintf "%.1fx" (closure /. rpq);
-            ])
+            match closure with
+            | Some closure ->
+                [
+                  name;
+                  ms closure;
+                  ms rpq;
+                  Printf.sprintf "%.1fx" (closure /. rpq);
+                ]
+            | None -> [ name; "-"; ms rpq; "-" ])
           entries));
   if json then begin
     let buf = Buffer.create 512 in
@@ -1334,10 +1367,18 @@ let sweep_snb ?(json = false) () =
       (fun i (name, closure, rpq) ->
         if i > 0 then Buffer.add_string buf ",\n";
         Buffer.add_string buf
-          (Printf.sprintf
-             "  {\"name\": %S, \"scale\": %d, \"closure_ms\": %.3f, \
-              \"rpq_ms\": %.3f, \"speedup\": %.2f}"
-             name scale (closure *. 1000.0) (rpq *. 1000.0) (closure /. rpq)))
+          (match closure with
+          | Some closure ->
+              Printf.sprintf
+                "  {\"name\": %S, \"scale\": %d, \"closure_ms\": %.3f, \
+                 \"rpq_ms\": %.3f, \"speedup\": %.2f}"
+                name scale (closure *. 1000.0) (rpq *. 1000.0)
+                (closure /. rpq)
+          | None ->
+              Printf.sprintf
+                "  {\"name\": %S, \"scale\": %d, \"edges_needed\": true, \
+                 \"rpq_ms\": %.3f}"
+                name scale (rpq *. 1000.0)))
       entries;
     Buffer.add_string buf "\n]\n";
     let oc = open_out "BENCH_snb.json" in

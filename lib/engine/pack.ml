@@ -41,3 +41,11 @@ let vtype_index u name = Hashtbl.find_opt u.vindex (norm name)
 let etype_index u name = Hashtbl.find_opt u.eindex (norm name)
 let vset_of u cell = u.vtypes.(tidx cell)
 let eset_of u cell = u.etypes.(tidx cell)
+
+let edge_bits u sets t =
+  match sets.(t) with
+  | Some b -> b
+  | None ->
+      let b = Graql_util.Bitset.create (Eset.size u.etypes.(t)) in
+      sets.(t) <- Some b;
+      b

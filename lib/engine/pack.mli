@@ -28,3 +28,8 @@ val vset_of : universe -> t -> Vset.t
 (** Vertex set of a packed vertex cell. *)
 
 val eset_of : universe -> t -> Eset.t
+
+val edge_bits :
+  universe -> Graql_util.Bitset.t option array -> int -> Graql_util.Bitset.t
+(** [edge_bits u sets t]: edge type [t]'s set in a per-edge-type array of
+    edge-id sets, allocated over the type's ids on first use. *)

@@ -28,7 +28,7 @@ type relation = { layout : slot array; cols : Int_vec.t array }
 type 'c outcome = {
   comps : 'c list;
   universe : Pack.universe;
-  regex_edges : int list;
+  regex_edges : Bitset.t option array;
 }
 
 type result = component outcome
@@ -42,10 +42,6 @@ let norm = String.lowercase_ascii
    closure evaluator below is kept verbatim as the reference
    implementation and for A/B benchmarking. *)
 let use_automaton = ref true
-
-(* Experimental: determinize the NFA by subset construction. Only applies
-   when the query does not capture traversed edges. *)
-let rpq_determinize = ref false
 
 (* ------------------------------------------------------------------ *)
 (* Planned paths: the execution form after direction choice. Reversing a
@@ -176,7 +172,8 @@ type pstate = {
   mutable vstep_count : int; (* vertex steps placed so far *)
   (* label name (normalized) -> element-wise? *)
   label_kinds : (string, bool) Hashtbl.t;
-  regex_edges : (int, unit) Hashtbl.t;
+  regex_edges : Bitset.t option array;
+      (* edges traversed inside regexes, one bitset per edge type *)
   (* s_step assignment: maps execution vstep index to display order *)
   step_code_v : int -> int;
   step_code_e : int -> int; (* edge arriving at exec vstep k *)
@@ -805,7 +802,10 @@ let regex_round st (body : (Ast.estep * Ast.vstep) list) =
 let expand_regex st (body : (Ast.estep * Ast.vstep) list) (op : Ast.rx_op) loc =
   let round = regex_round st body in
   let memo : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-  let note_edges edges = List.iter (fun e -> Hashtbl.replace st.regex_edges e ()) edges in
+  let note_edges =
+    List.iter (fun e ->
+        Bitset.set (Pack.edge_bits st.u st.regex_edges (Pack.tidx e)) (Pack.id e))
+  in
   let closure ~include_start start =
     match Hashtbl.find_opt memo ((if include_start then 1 else 0) + (start * 2)) with
     | Some cached -> cached
@@ -918,17 +918,10 @@ let expand_regex_nfa st (xr : xregex) =
         ?exit_vstep:xr.xr_exit ~body:xr.xr_body ~op:xr.xr_op ~loc:xr.xr_loc ()
     with Rpq.Rpq_error (loc, msg) -> error loc "%s" msg
   in
-  let a =
-    if !rpq_determinize && (not xr.xr_reversed) && not st.edges_needed then
-      Rpq.determinize a
-    else a
-  in
   let nst = Rpq.nstates a in
   let stats = Array.make nst 0 in
   let note =
-    if st.edges_needed && not xr.xr_reversed then
-      Some (fun e -> Hashtbl.replace st.regex_edges e ())
-    else None
+    if st.edges_needed && not xr.xr_reversed then Some st.regex_edges else None
   in
   let pool = Db.pool st.db in
   let memo : (int, Int_vec.t) Hashtbl.t = Hashtbl.create 64 in
@@ -1388,7 +1381,7 @@ let mp_loc = function
 let run ~db ~params ~mode ?(auto_reverse = true) ?(edges_needed = true)
     ?(max_bytes = default_max_bytes) mp =
   let u = Pack.universe (Db.graph db) in
-  let regex_edges = Hashtbl.create 16 in
+  let regex_edges = Array.make (Array.length u.Pack.etypes) None in
   let rec go env = function
     | Ast.M_path p ->
         [
@@ -1432,14 +1425,20 @@ let run ~db ~params ~mode ?(auto_reverse = true) ?(edges_needed = true)
         | _ -> ca @ cb)
   in
   let comps = go (Hashtbl.create 4) mp in
-  {
-    comps;
-    universe = u;
-    regex_edges = Hashtbl.fold (fun e () acc -> e :: acc) regex_edges [];
-  }
+  { comps; universe = u; regex_edges }
 
 let run_multipath ~db ~params ~mode ?auto_reverse ?edges_needed ?max_bytes mp =
   let r = run ~db ~params ~mode ?auto_reverse ?edges_needed ?max_bytes mp in
   { r with comps = List.map to_component r.comps }
 
 let nrows (r : relation) = nrows_of r.cols
+
+let regex_edge_list (r : _ outcome) =
+  let out = ref [] in
+  Array.iteri
+    (fun t bits ->
+      Option.iter
+        (Bitset.iter (fun id -> out := Pack.pack ~tidx:t ~id :: !out))
+        bits)
+    r.regex_edges;
+  List.rev !out

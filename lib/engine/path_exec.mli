@@ -63,7 +63,9 @@ type component = { slots : slot array; rows : int array array }
 type 'c outcome = {
   comps : 'c list;  (** >1 only for [or] of incompatible layouts *)
   universe : Pack.universe;
-  regex_edges : int list;  (** packed edge cells traversed inside regexes *)
+  regex_edges : Graql_util.Bitset.t option array;
+      (** edges traversed inside regexes: one id set per edge type
+          (indexed like [universe.etypes]), allocated on its first edge *)
 }
 
 type result = component outcome
@@ -78,10 +80,6 @@ val use_automaton : bool ref
     product-automaton engine; when false, on the original memoized-closure
     evaluator (kept as the reference implementation). Results are
     byte-identical either way. *)
-
-val rpq_determinize : bool ref
-(** Experimental: determinize regex automata by subset construction when
-    the query cannot observe traversed edges. Default false. *)
 
 val run :
   db:Db.t ->
@@ -113,6 +111,9 @@ val run_multipath :
   Ast.multipath ->
   result
 (** {!run}, with each relation transposed into its row view. *)
+
+val regex_edge_list : _ outcome -> int list
+(** The regex-traversed edges as packed edge cells, ascending. *)
 
 (* ------------------------------------------------------------------ *)
 (* Planned paths (shared with EXPLAIN)                                 *)

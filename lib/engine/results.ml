@@ -32,19 +32,15 @@ let slot_matches_name (s : Path_exec.slot) name =
    a type appears in the subgraph only if some cell of it was captured. *)
 let type_bits sizes =
   let bits = Array.make (Array.length sizes) None in
-  let mark cell =
-    let t = Pack.tidx cell in
-    let b =
-      match bits.(t) with
-      | Some b -> b
-      | None ->
-          let b = Bitset.create sizes.(t) in
-          bits.(t) <- Some b;
-          b
-    in
-    Bitset.set b (Pack.id cell)
+  let get t =
+    match bits.(t) with
+    | Some b -> b
+    | None ->
+        let b = Bitset.create sizes.(t) in
+        bits.(t) <- Some b;
+        b
   in
-  (bits, mark)
+  (bits, get, fun cell -> Bitset.set (get (Pack.tidx cell)) (Pack.id cell))
 
 let to_subgraph ~name ~targets ~loc (res : bindings) =
   let u = res.Path_exec.universe in
@@ -59,8 +55,8 @@ let to_subgraph ~name ~targets ~loc (res : bindings) =
               "subgraph output selects steps or labels, not expressions")
       targets
   in
-  let vbits, mark_v = type_bits (Array.map Vset.size u.Pack.vtypes) in
-  let ebits, mark_e = type_bits (Array.map Eset.size u.Pack.etypes) in
+  let vbits, _, mark_v = type_bits (Array.map Vset.size u.Pack.vtypes) in
+  let ebits, ebits_of, mark_e = type_bits (Array.map Eset.size u.Pack.etypes) in
   List.iter
     (fun (rel : Path_exec.relation) ->
       Array.iteri
@@ -71,8 +67,13 @@ let to_subgraph ~name ~targets ~loc (res : bindings) =
             | `E -> if star then Int_vec.iter mark_e rel.Path_exec.cols.(i))
         rel.Path_exec.layout)
     res.Path_exec.comps;
-  if star then List.iter mark_e res.Path_exec.regex_edges;
+  if star then
+    Array.iteri
+      (fun t regex ->
+        Option.iter (Bitset.union_into (ebits_of t)) regex)
+      res.Path_exec.regex_edges;
   ignore loc;
+  (* The subgraph takes over the bitsets built here. *)
   let sg = Subgraph.empty name in
   Array.iteri
     (fun t bits ->
@@ -83,9 +84,7 @@ let to_subgraph ~name ~targets ~loc (res : bindings) =
   Array.iteri
     (fun t bits ->
       Option.iter
-        (fun b ->
-          Subgraph.add_edges sg ~etype:(Eset.name u.Pack.etypes.(t))
-            (Bitset.to_list b))
+        (Subgraph.add_edges sg ~etype:(Eset.name u.Pack.etypes.(t)))
         bits)
     ebits;
   sg

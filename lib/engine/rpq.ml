@@ -472,85 +472,6 @@ let compile ~params ~u ?(reversed = false) ?exit_vstep ~body ~op ~loc () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Determinization (subset construction)                               *)
-
-let determinize a =
-  if a.a_reversed then invalid_arg "Rpq.determinize: reversed automaton";
-  let key = List.map string_of_int in
-  let key l = String.concat "," (key l) in
-  let index : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let members = ref [] (* rev list of int list *) in
-  let count = ref 0 in
-  let worklist = Queue.create () in
-  let intern set =
-    let k = key set in
-    match Hashtbl.find_opt index k with
-    | Some i -> i
-    | None ->
-        let i = !count in
-        incr count;
-        Hashtbl.replace index k i;
-        members := set :: !members;
-        Queue.add (i, set) worklist;
-        i
-  in
-  let init_set =
-    List.sort_uniq compare (List.map fst a.a_initial)
-  in
-  let d0 = intern init_set in
-  let dtrans = ref [] (* rev list, per dfa state in order: (spec, dst) list *) in
-  let nspecs = Array.length a.a_specs in
-  while not (Queue.is_empty worklist) do
-    let _, set = Queue.pop worklist in
-    let outs = ref [] in
-    for spec_i = 0 to nspecs - 1 do
-      let targets =
-        List.sort_uniq compare
-          (List.concat_map
-             (fun s ->
-               List.filter_map
-                 (fun (sp, dst) -> if sp = spec_i then Some dst else None)
-                 a.a_trans.(s))
-             set)
-      in
-      if targets <> [] then outs := (spec_i, intern targets) :: !outs
-    done;
-    dtrans := List.rev !outs :: !dtrans
-  done;
-  let members = Array.of_list (List.rev !members) in
-  let dtrans = Array.of_list (List.rev !dtrans) in
-  let n = !count in
-  let accepting =
-    Array.map (List.exists (fun s -> a.a_accepting.(s))) members
-  in
-  let states =
-    Array.init n (fun i ->
-        let name =
-          "{" ^ String.concat "," (List.map string_of_int members.(i)) ^ "}"
-        in
-        {
-          si_label =
-            Printf.sprintf "rx dfa %s%s" name
-              (if accepting.(i) then " [accept]" else "");
-          si_estep = None;
-          si_vstep = None;
-          si_initial = i = d0;
-          si_accepting = accepting.(i);
-        })
-  in
-  {
-    a with
-    a_nstates = n;
-    a_trans = dtrans;
-    a_initial = [ (d0, None) ];
-    a_accepting = accepting;
-    a_chain = Array.make n None;
-    a_base = None;
-    a_note = `Off;
-    a_states = states;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Evaluation: frontier BFS over the graph × automaton product          *)
 
 let par_threshold = 2048
@@ -582,13 +503,16 @@ let eval a ?pool ?stats ?note ~start () =
         frontier := (s, start) :: !frontier
       end)
     a.a_initial;
+  (* Noted edges go straight into the caller's per-edge-type bitsets; the
+     counter counts every note (repeats included) and is published once. *)
+  let noted = ref 0 in
   let do_note =
     match note with
-    | Some f ->
-        fun ecell ->
-          Metrics.incr m_noted;
-          f ecell
-    | None -> fun _ -> ()
+    | Some ebits ->
+        fun eidx eid ->
+          incr noted;
+          Bitset.set (Pack.edge_bits u ebits eidx) eid
+    | None -> fun _ _ -> ()
   in
   let inline = a.a_note = `Inline && note <> None in
   (* Expand one product pair; [emit] receives each valid traversal. *)
@@ -613,14 +537,12 @@ let eval a ?pool ?stats ?note ~start () =
                     | Some c -> Step_cond.eval_vertex c ~row:[||] ~vertex:nbr
                     | None -> true
                   in
-                  if vok then
-                    emit ~dst ~tidx:tr.tr_other ~nbr
-                      ~ecell:(Pack.pack ~tidx:tr.tr_eidx ~id:eid)))
+                  if vok then emit ~dst ~tidx:tr.tr_other ~nbr ~eidx:tr.tr_eidx ~eid))
           sp.c_travs.(ct))
       a.a_trans.(s)
   in
-  let absorb next ~dst ~tidx ~nbr ~ecell =
-    if inline then do_note ecell;
+  let absorb next ~dst ~tidx ~nbr ~eidx ~eid =
+    if inline then do_note eidx eid;
     let b = get_vis dst tidx in
     if not (Bitset.mem b nbr) then begin
       Bitset.set b nbr;
@@ -645,15 +567,16 @@ let eval a ?pool ?stats ?note ~start () =
               Pool.parallel_reduce pool
                 ~init:(fun () -> ref [])
                 ~body:(fun out i ->
-                  expand_pair arr.(i) (fun ~dst ~tidx ~nbr ~ecell ->
-                      out := (dst, tidx, nbr, ecell) :: !out))
+                  expand_pair arr.(i) (fun ~dst ~tidx ~nbr ~eidx ~eid ->
+                      out := (dst, tidx, nbr, eidx, eid) :: !out))
                 ~merge:(fun x y ->
                   x := List.rev_append (List.rev !y) !x;
                   x)
                 ~lo:0 ~hi:n
             in
             List.iter
-              (fun (dst, tidx, nbr, ecell) -> absorb next ~dst ~tidx ~nbr ~ecell)
+              (fun (dst, tidx, nbr, eidx, eid) ->
+                absorb next ~dst ~tidx ~nbr ~eidx ~eid)
               (List.rev !acc)
         | _ ->
             List.iter (fun pair -> expand_pair pair (absorb next)) fr);
@@ -771,14 +694,13 @@ let eval a ?pool ?stats ?note ~start () =
                                        if
                                          vok
                                          && can_complete dst tr.tr_other nbr
-                                       then
-                                         do_note
-                                           (Pack.pack ~tidx:tr.tr_eidx ~id:eid)))
+                                       then do_note tr.tr_eidx eid))
                                sp.c_travs.(t))
                            b)
                    vis.(s))
                outs)
            a.a_trans);
+  if note <> None then Metrics.add m_noted !noted;
   (* Endpoints: visited cells at accepting states, ascending packed order
      — [Pack.pack] is monotonic in (tidx, id), so per-type ascending
      bitset iteration is exactly the closure engine's [List.sort compare]. *)

@@ -6,8 +6,7 @@
     complete body traversal returns to position [1] via the loop
     transition (for [*] and [+]) or chains on (for [{n}]). The
     construction is epsilon-free by design — every transition consumes
-    exactly one edge traversal — and can optionally be determinized by
-    subset construction ({!determinize}).
+    exactly one edge traversal.
 
     Evaluation runs frontier BFS over the product of the graph with the
     automaton: the visited set is a [(vertex, state)] relation held in
@@ -93,12 +92,6 @@ val nstates : t -> int
 val states : t -> state_info array
 val is_reversed : t -> bool
 
-val determinize : t -> t
-(** Subset construction. The result accepts the same language and
-    {!eval} returns identical endpoint sets, but it does not report
-    traversed edges (subgraph capture keeps the NFA). Raises
-    [Invalid_argument] on reversed automata. *)
-
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)
 
@@ -106,15 +99,19 @@ val eval :
   t ->
   ?pool:Graql_parallel.Domain_pool.t ->
   ?stats:int array ->
-  ?note:(int -> unit) ->
+  ?note:Graql_util.Bitset.t option array ->
   start:int ->
   unit ->
   Graql_util.Int_vec.t
 (** [eval a ~start ()] runs product BFS from packed vertex cell [start]
     and returns the packed endpoint cells, sorted ascending (the closure
     engine's order), as the column the path executor appends to its
-    binding relation. [note] receives every packed edge cell lying on a
-    complete body traversal — exactly the closure engine's reported set.
+    binding relation. [note], indexed by edge type, gets the id of every
+    edge lying on a complete body traversal set in that type's bitset —
+    exactly the closure engine's reported set. A missing bitset is
+    allocated over the type's id domain on its first edge. The
+    [rpq.noted_edges] counter grows by the number of notes (repeats
+    included), once per call.
     [stats.(s)] is incremented by the number of product pairs visited at
     state [s]. When [pool] is given, frontiers past a size threshold are
     expanded chunk-parallel; results are unions of per-chunk discoveries

@@ -37,16 +37,14 @@ let params_of db name = Db.find_param db name
 
 (* Statements with a persistent effect are logged — fsync'd — before they
    are applied. Ingest is logged separately with its loaded bytes inlined
-   (see [exec_ingest]); selects into nothing leave no state behind. *)
+   (see [exec_ingest]); a select into a named result is logged when its
+   result is registered (see [commit]); selects into nothing leave no
+   state behind. *)
 let stmt_needs_wal = function
   | Ast.Create_table _ | Ast.Create_vertex _ | Ast.Create_edge _
   | Ast.Set_param _ ->
       true
-  | Ast.Ingest _ -> false
-  | Ast.Select_graph { sg_into = Ast.Into_nothing; _ }
-  | Ast.Select_table { st_into = Ast.Into_nothing; _ } ->
-      false
-  | Ast.Select_graph _ | Ast.Select_table _ -> true
+  | Ast.Ingest _ | Ast.Select_graph _ | Ast.Select_table _ -> false
 
 let wal_log db record =
   match Db.wal db with None -> () | Some w -> Wal.append w record
@@ -98,6 +96,8 @@ let mode_of_graph_select (sg : Ast.select_graph) =
              sg.Ast.sg_targets)
   | Ast.Into_table _ | Ast.Into_nothing -> Path_exec.Keep_all
 
+(* A select into a named result returns its capture unregistered; see
+   [commit]. *)
 let exec_select_graph db (sg : Ast.select_graph) =
   let params = params_of db in
   let mode = mode_of_graph_select sg in
@@ -112,14 +112,12 @@ let exec_select_graph db (sg : Ast.select_graph) =
         Results.to_subgraph ~name ~targets:sg.Ast.sg_targets ~loc:sg.Ast.sg_loc
           res
       in
-      Db.lock db (fun () -> Db.add_subgraph db sub);
       O_subgraph sub
   | Ast.Into_table name ->
       let table =
         Results.to_table ~name ~targets:sg.Ast.sg_targets ~params
           ~loc:sg.Ast.sg_loc res
       in
-      Db.lock db (fun () -> Db.register_result_table db table);
       O_table table
   | Ast.Into_nothing ->
       let table =
@@ -135,13 +133,27 @@ let exec_select_table db (st : Ast.select_table) =
   in
   let table = Table_exec.exec ~db ~params ~name st in
   (match st.Ast.st_into with
-  | Ast.Into_table _ -> Db.lock db (fun () -> Db.register_result_table db table)
   | Ast.Into_subgraph _ ->
       error st.Ast.st_loc "a table select cannot produce a subgraph"
-  | Ast.Into_nothing -> ());
+  | Ast.Into_table _ | Ast.Into_nothing -> ());
   O_table table
 
-let exec_stmt ?(loader = default_loader) db stmt =
+(* Register a select's named result, logging the statement first. The
+   catalog and the subgraph list keep registration order, and recovery
+   replays the log in order, so a script commits in statement order. *)
+let commit db stmt outcome =
+  match (stmt, outcome) with
+  | Ast.Select_graph { sg_into = Ast.Into_subgraph _; _ }, O_subgraph sub ->
+      wal_log db (Wal.R_stmt stmt);
+      Db.lock db (fun () -> Db.add_subgraph db sub)
+  | ( ( Ast.Select_graph { sg_into = Ast.Into_table _; _ }
+      | Ast.Select_table { st_into = Ast.Into_table _; _ } ),
+      O_table table ) ->
+      wal_log db (Wal.R_stmt stmt);
+      Db.lock db (fun () -> Db.register_result_table db table)
+  | _ -> ()
+
+let run_stmt ~loader db stmt =
   if stmt_needs_wal stmt then wal_log db (Wal.R_stmt stmt);
   match stmt with
   | Ast.Create_table { ct_name; ct_cols; ct_loc } ->
@@ -181,14 +193,22 @@ let exec_stmt ?(loader = default_loader) db stmt =
       try exec_select_table db st
       with Table_exec.Table_error (l, m) -> error l "%s" m)
 
+let exec_stmt ?(loader = default_loader) db stmt =
+  let outcome = run_stmt ~loader db stmt in
+  commit db stmt outcome;
+  outcome
+
 (* ------------------------------------------------------------------ *)
 (* Dependence analysis (Sec. III-B1)                                   *)
 
 let graph_entity = "__graph__"
 
-(* [create table] statements are ordered among themselves: the catalog's
-   registration order is the export order, and recovery replays the WAL
-   in log order, so completion order must not decide it. *)
+(* The catalog's registration order is the export order, and recovery
+   replays the WAL in log order, so completion order must not decide it.
+   [create table] registers as it runs, so it writes this entity and is
+   ordered against every other catalog registrant. A select into a table
+   only reads it: its table is registered by [exec_script] in statement
+   order, so such selects may share a wave. *)
 let catalog_entity = "__catalog__"
 
 let rec expr_names acc = function
@@ -233,6 +253,10 @@ let rec multipath_names acc = function
   | Ast.M_and (a, b) | Ast.M_or (a, b) ->
       multipath_names (multipath_names acc a) b
 
+let into_catalog = function
+  | Ast.Into_table _ -> [ catalog_entity ]
+  | Ast.Into_subgraph _ | Ast.Into_nothing -> []
+
 let refs stmt =
   match stmt with
   | Ast.Create_table _ -> []
@@ -245,8 +269,9 @@ let refs stmt =
       @ (match ce_where with Some c -> expr_names [] c | None -> [])
   | Ast.Ingest { ing_table; _ } -> [ norm ing_table ]
   | Ast.Set_param _ -> []
-  | Ast.Select_graph { sg_path; sg_targets; _ } ->
-      graph_entity :: multipath_names [] sg_path
+  | Ast.Select_graph { sg_path; sg_targets; sg_into; _ } ->
+      (graph_entity :: into_catalog sg_into)
+      @ multipath_names [] sg_path
       @ List.concat_map
           (function
             | Ast.T_star -> []
@@ -260,7 +285,7 @@ let refs stmt =
             List.map (fun (n, _) -> norm n) srcs
             @ (match w with Some w -> expr_names [] w | None -> [])
       in
-      sources
+      sources @ into_catalog st.Ast.st_into
       @ (match st.Ast.st_where with Some w -> expr_names [] w | None -> [])
       @ List.concat_map
           (function
@@ -353,7 +378,9 @@ let span_summary stmt_span_id =
     (fun (_, _, a) (_, _, b) -> compare b a)
     (Hashtbl.fold (fun name (count, ms) acc -> (name, count, ms) :: acc) tbl [])
 
-let exec_stmt_outcome ~loader ?cancel db ~index stmt =
+(* With [defer], a select's named result is left for the caller to
+   [commit]. *)
+let exec_stmt_outcome ~loader ?cancel ~defer db ~index stmt =
   (* Every traced statement runs under a trace id: an ambient one when a
      remote caller (serve, replication) propagated a traceparent, a
      fresh root id otherwise — so WAL records, pool spans and log lines
@@ -395,7 +422,9 @@ let exec_stmt_outcome ~loader ?cancel db ~index stmt =
         (Printf.sprintf "stmt%d:%s" index (Ast.stmt_kind stmt))
         (fun () ->
           Trace.with_parent (Trace.span_id sp) (fun () ->
-              exec_stmt ~loader db stmt))
+              let o = run_stmt ~loader db stmt in
+              if not defer then commit db stmt o;
+              o))
     with
     | o -> o
     | exception e ->
@@ -481,7 +510,9 @@ let exec_script ?(loader = default_loader) ?parallel ?cancel db script =
         Array.iteri
           (fun i stmt ->
             outcomes.(i) <-
-              Some (exec_stmt_outcome ~loader ?cancel db ~index:i stmt))
+              Some
+                (exec_stmt_outcome ~loader ?cancel ~defer:false db ~index:i
+                   stmt))
           stmts
       else begin
         let pool = Option.get (Db.pool db) in
@@ -514,8 +545,8 @@ let exec_script ?(loader = default_loader) ?parallel ?cancel db script =
                       (fun j () ->
                         outcomes.(j) <-
                           Some
-                            (exec_stmt_outcome ~loader ?cancel db ~index:j
-                               stmts.(j)))
+                            (exec_stmt_outcome ~loader ?cancel ~defer:true db
+                               ~index:j stmts.(j)))
                       ready))
            with e -> (
              match Graql_error.of_exn e with
@@ -526,6 +557,15 @@ let exec_script ?(loader = default_loader) ?parallel ?cancel db script =
                      if outcomes.(j) = None then
                        outcomes.(j) <- Some (O_failed err))
                    ready));
+          (* Results register in statement order, not completion order. *)
+          List.iter
+            (fun j ->
+              match outcomes.(j) with
+              | Some o -> (
+                  try commit db stmts.(j) o
+                  with e -> outcomes.(j) <- Some (outcome_of_exn e))
+              | None -> ())
+            ready;
           List.iter (fun j -> done_.(j) <- true) ready;
           remaining := blocked
         done

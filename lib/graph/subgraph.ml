@@ -3,7 +3,7 @@ module Bitset = Graql_util.Bitset
 type t = {
   name : string;
   vsets : (string, Bitset.t) Hashtbl.t;
-  esets : (string, (int, unit) Hashtbl.t) Hashtbl.t;
+  esets : (string, Bitset.t) Hashtbl.t;
 }
 
 let norm = String.lowercase_ascii
@@ -11,29 +11,27 @@ let norm = String.lowercase_ascii
 let empty name = { name; vsets = Hashtbl.create 8; esets = Hashtbl.create 8 }
 let name t = t.name
 
-let add_vertices t ~vtype bits =
-  let key = norm vtype in
-  match Hashtbl.find_opt t.vsets key with
+(* A type's first set is taken over, not copied: result capture hands in
+   bitsets it has just built. Later sets of the same type are unioned in. *)
+let add_set ~what sets key bits =
+  match Hashtbl.find_opt sets key with
   | Some existing ->
       if Bitset.length existing <> Bitset.length bits then
-        invalid_arg "Subgraph.add_vertices: domain mismatch";
+        invalid_arg ("Subgraph." ^ what ^ ": domain mismatch");
       Bitset.union_into existing bits
-  | None -> Hashtbl.add t.vsets key (Bitset.copy bits)
+  | None -> Hashtbl.add sets key bits
+
+let add_vertices t ~vtype bits =
+  add_set ~what:"add_vertices" t.vsets (norm vtype) bits
 
 let add_vertex_list t ~vtype ids ~size =
   add_vertices t ~vtype (Bitset.of_list size ids)
 
-let add_edges t ~etype ids =
+(* An edge type is listed only once it holds an edge. *)
+let add_edges t ~etype bits =
   let key = norm etype in
-  let set =
-    match Hashtbl.find_opt t.esets key with
-    | Some s -> s
-    | None ->
-        let s = Hashtbl.create 64 in
-        Hashtbl.add t.esets key s;
-        s
-  in
-  List.iter (fun e -> Hashtbl.replace set e ()) ids
+  if Hashtbl.mem t.esets key || not (Bitset.is_empty bits) then
+    add_set ~what:"add_edges" t.esets key bits
 
 let vertices t ~vtype = Hashtbl.find_opt t.vsets (norm vtype)
 
@@ -44,27 +42,27 @@ let vertex_list t ~vtype =
 
 let edges t ~etype =
   match Hashtbl.find_opt t.esets (norm etype) with
-  | Some set -> List.sort compare (Hashtbl.fold (fun e () acc -> e :: acc) set [])
+  | Some bits -> Bitset.to_list bits
   | None -> []
 
-let vtypes t =
-  List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.vsets [])
+let keys sets = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) sets [])
+let vtypes t = keys t.vsets
+let etypes t = keys t.esets
 
-let etypes t =
-  List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.esets [])
+let cardinal sets =
+  Hashtbl.fold (fun _ bits acc -> acc + Bitset.cardinal bits) sets 0
 
-let total_vertices t =
-  Hashtbl.fold (fun _ bits acc -> acc + Bitset.cardinal bits) t.vsets 0
-
-let total_edges t = Hashtbl.fold (fun _ set acc -> acc + Hashtbl.length set) t.esets 0
+let total_vertices t = cardinal t.vsets
+let total_edges t = cardinal t.esets
 
 let union ~name a b =
   let out = empty name in
   let add_from src =
-    Hashtbl.iter (fun vtype bits -> add_vertices out ~vtype bits) src.vsets;
     Hashtbl.iter
-      (fun etype set ->
-        add_edges out ~etype (Hashtbl.fold (fun e () acc -> e :: acc) set []))
+      (fun vtype bits -> add_vertices out ~vtype (Bitset.copy bits))
+      src.vsets;
+    Hashtbl.iter
+      (fun etype bits -> add_edges out ~etype (Bitset.copy bits))
       src.esets
   in
   add_from a;

@@ -1,6 +1,7 @@
 (** Query results as (possibly disconnected) subgraphs (Sec. II-C):
     per-vertex-type sets of vertex ids and per-edge-type sets of edge ids
-    of an underlying {!Graph_store}. *)
+    of an underlying {!Graph_store}, each one {!Graql_util.Bitset} over
+    its type's id domain. *)
 
 type t
 
@@ -8,14 +9,25 @@ val empty : string -> t
 (** [empty name] — a named, empty subgraph. *)
 
 val name : t -> string
+
 val add_vertices : t -> vtype:string -> Graql_util.Bitset.t -> unit
-(** Union the ids into the subgraph's set for that vertex type. *)
+(** Union the ids into the subgraph's set for that vertex type. The
+    first set given for a type is kept as is, not copied: do not mutate
+    it afterwards. Raises [Invalid_argument] when the domain differs
+    from the type's existing set. *)
 
 val add_vertex_list : t -> vtype:string -> int list -> size:int -> unit
-val add_edges : t -> etype:string -> int list -> unit
+
+val add_edges : t -> etype:string -> Graql_util.Bitset.t -> unit
+(** {!add_vertices} for an edge type. An empty set does not add the
+    type: {!etypes} lists only types holding an edge. *)
+
 val vertices : t -> vtype:string -> Graql_util.Bitset.t option
 val vertex_list : t -> vtype:string -> int list
+
 val edges : t -> etype:string -> int list
+(** Ascending edge ids of one type. *)
+
 val vtypes : t -> string list
 val etypes : t -> string list
 val total_vertices : t -> int

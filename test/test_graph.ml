@@ -257,7 +257,7 @@ let test_subgraph () =
   let sg = Subgraph.empty "r" in
   Subgraph.add_vertex_list sg ~vtype:"P" [ 1; 3 ] ~size:10;
   Subgraph.add_vertex_list sg ~vtype:"P" [ 3; 5 ] ~size:10;
-  Subgraph.add_edges sg ~etype:"e" [ 0; 2; 0 ];
+  Subgraph.add_edges sg ~etype:"e" (Bitset.of_list 4 [ 0; 2; 0 ]);
   check_int "union of vertices" 3 (Subgraph.total_vertices sg);
   check "vertex list" true (Subgraph.vertex_list sg ~vtype:"p" = [ 1; 3; 5 ]);
   check "edges deduped" true (Subgraph.edges sg ~etype:"E" = [ 0; 2 ]);
@@ -267,6 +267,41 @@ let test_subgraph () =
   let u = Subgraph.union ~name:"u" sg sg2 in
   check_int "union total" 4 (Subgraph.total_vertices u);
   check "union vtypes" true (Subgraph.vtypes u = [ "p"; "q" ])
+
+let test_subgraph_edge_mismatch () =
+  let sg = Subgraph.empty "r" in
+  Subgraph.add_edges sg ~etype:"e" (Bitset.of_list 8 [ 1 ]);
+  Alcotest.check_raises "domain mismatch"
+    (Invalid_argument "Subgraph.add_edges: domain mismatch") (fun () ->
+      Subgraph.add_edges sg ~etype:"E" (Bitset.of_list 9 [ 2 ]));
+  check "set untouched" true (Subgraph.edges sg ~etype:"e" = [ 1 ])
+
+let test_subgraph_edge_union () =
+  let a = Subgraph.empty "a" and b = Subgraph.empty "b" in
+  Subgraph.add_edges a ~etype:"e" (Bitset.of_list 70 [ 65; 3 ]);
+  Subgraph.add_edges b ~etype:"e" (Bitset.of_list 70 [ 3; 64; 0 ]);
+  Subgraph.add_edges b ~etype:"f" (Bitset.of_list 5 [ 4 ]);
+  let u = Subgraph.union ~name:"u" a b in
+  check "merged and ascending" true
+    (Subgraph.edges u ~etype:"e" = [ 0; 3; 64; 65 ]);
+  check "other type carried" true (Subgraph.edges u ~etype:"F" = [ 4 ]);
+  check_int "total edges" 5 (Subgraph.total_edges u);
+  check "operands untouched" true
+    (Subgraph.edges a ~etype:"e" = [ 3; 65 ]
+    && Subgraph.edges b ~etype:"e" = [ 0; 3; 64 ]);
+  Subgraph.add_edges u ~etype:"e" (Bitset.of_list 70 [ 1 ]);
+  check "union owns its sets" true (Subgraph.edges a ~etype:"e" = [ 3; 65 ])
+
+let test_subgraph_etypes () =
+  let sg = Subgraph.empty "r" in
+  Subgraph.add_edges sg ~etype:"Knows" (Bitset.create 10);
+  Subgraph.add_edges sg ~etype:"likes" (Bitset.of_list 10 [ 9 ]);
+  check "only types with an edge" true (Subgraph.etypes sg = [ "likes" ]);
+  check "empty type has no edges" true (Subgraph.edges sg ~etype:"knows" = []);
+  check_int "total edges" 1 (Subgraph.total_edges sg);
+  Subgraph.add_edges sg ~etype:"knows" (Bitset.of_list 10 [ 2; 7 ]);
+  check "listed once captured" true (Subgraph.etypes sg = [ "knows"; "likes" ]);
+  check_int "total edges after" 3 (Subgraph.total_edges sg)
 
 (* ------------------------------------------------------------------ *)
 (* Degree statistics                                                   *)
@@ -324,7 +359,15 @@ let () =
           Alcotest.test_case "edge condition" `Quick test_edges_with_condition;
         ] );
       ("store", [ Alcotest.test_case "registry" `Quick test_graph_store ]);
-      ("subgraph", [ Alcotest.test_case "sets and union" `Quick test_subgraph ]);
+      ( "subgraph",
+        [
+          Alcotest.test_case "sets and union" `Quick test_subgraph;
+          Alcotest.test_case "edge domain mismatch" `Quick
+            test_subgraph_edge_mismatch;
+          Alcotest.test_case "edge union, ascending" `Quick
+            test_subgraph_edge_union;
+          Alcotest.test_case "etypes and totals" `Quick test_subgraph_etypes;
+        ] );
       ( "degree_stats",
         [
           Alcotest.test_case "skewed" `Quick test_degree_stats;

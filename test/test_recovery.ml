@@ -294,6 +294,79 @@ let test_kill_then_identical_queries () =
     [ ("q1", Berlin_queries.q1); ("eq12", Berlin_queries.eq12_structural) ];
   Session.close survivor
 
+(* ---------- registration order of parallel results ---------- *)
+
+(* Independent selects into named results share one parallel wave. They
+   must register in statement order — the order the WAL logs them and
+   recovery replays them — whatever order they complete in. *)
+let wave_script =
+  let table i q = Printf.sprintf "select %s into table R%d" q i
+  and subgraph i q = Printf.sprintf "select %s into subgraph S%d" q i in
+  String.concat "\n"
+    [
+      table 0 "* from table Products";
+      table 1 "OfferVtx.id from graph OfferVtx ( ) --vendor--> VendorVtx ( )";
+      subgraph 0 "* from graph OfferVtx ( ) --product--> ProductVtx ( )";
+      table 2
+        "o.id, p.label from table Offers as o, Products as p where o.product \
+         = p.id";
+      table 3 "ProductVtx.id from graph ProductVtx ( ) --feature--> FeatureVtx ( )";
+      subgraph 1 "* from graph ProductVtx ( ) ( --type--> TypeVtx ( ) )+";
+      table 4 "* from table Persons";
+      table 5 "ReviewVtx.id from graph ReviewVtx ( ) --reviewer--> PersonVtx ( )";
+      subgraph 2 "ReviewVtx from graph ReviewVtx ( ) --reviewFor--> ProductVtx ( )";
+      table 6
+        "o.id, v.country from table Offers as o, Vendors as v where o.vendor \
+         = v.id";
+      table 7 "ProductVtx.id from graph ProductVtx ( ) --producer--> ProducerVtx ( )";
+      subgraph 3 "* from graph TypeVtx ( ) ( --subclass--> TypeVtx ( ) )*";
+    ]
+
+let result_tables db =
+  List.filter
+    (fun n -> String.length n = 2 && n.[0] = 'R')
+    (Graql_storage.Table_catalog.names (Db.tables db))
+
+let test_parallel_registration_order () =
+  with_temp_dir @@ fun base ->
+  let setup = Filename.concat base "setup" in
+  ignore (populate ~domains:1 setup);
+  check_int "one wave" 0
+    (List.length
+       (Script_exec.dependence_edges
+          (Graql_lang.Parser.parse_script wave_script)));
+  let tables = List.init 8 (Printf.sprintf "R%d")
+  and subgraphs = List.init 4 (Printf.sprintf "S%d") in
+  let saved = !Graql_relational.Join.par_threshold in
+  Graql_relational.Join.par_threshold := 1;
+  Fun.protect ~finally:(fun () -> Graql_relational.Join.par_threshold := saved)
+  @@ fun () ->
+  for run = 1 to 30 do
+    let data = Filename.concat base (Printf.sprintf "run%d" run) in
+    copy_dir setup data;
+    let pool = Pool.create ~domains:4 () in
+    let session = Session.create ~pool ~durability:(Session.Wal_dir data) () in
+    List.iter
+      (fun (_, outcome) ->
+        match outcome with
+        | Script_exec.O_failed e ->
+            Alcotest.failf "run %d: %s" run (Graql_error.to_string e)
+        | _ -> ())
+      (Session.run_script session wave_script);
+    let live = Session.db session in
+    let what fmt = Printf.sprintf ("run %d: " ^^ fmt) run in
+    Alcotest.(check (list string)) (what "catalog order") tables (result_tables live);
+    Alcotest.(check (list string)) (what "subgraph order") subgraphs
+      (Db.subgraph_names live);
+    let recovered, _ = recover_dir data in
+    Alcotest.(check (list string)) (what "recovered subgraph order") subgraphs
+      (Db.subgraph_names recovered);
+    check_str (what "export after recovery") (digest live) (digest recovered);
+    Session.close session;
+    Pool.shutdown pool;
+    rm_rf data
+  done
+
 let () =
   Alcotest.run "recovery"
     [
@@ -313,5 +386,10 @@ let () =
         [
           Alcotest.test_case "identical Berlin query results" `Quick
             test_kill_then_identical_queries;
+        ] );
+      ( "parallel-results",
+        [
+          Alcotest.test_case "registered in statement order" `Quick
+            test_parallel_registration_order;
         ] );
     ]

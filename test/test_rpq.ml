@@ -2,8 +2,7 @@
    memoized-closure engine and the naive reference fixpoint on seeded
    random graphs (byte-identical, at several domain counts), Kleene
    corner cases (empty frontiers, self-loops, {0}/{n}, dead states),
-   determinization, the regex EXPLAIN plan node, and the static checks
-   on regex bodies. *)
+   the regex EXPLAIN plan node, and the static checks on regex bodies. *)
 
 module Db = Graql_engine.Db
 module Ddl_exec = Graql_engine.Ddl_exec
@@ -156,7 +155,7 @@ let run_gen db path ~edges_needed ~keep =
              c.Path_exec.rows))
       res.Path_exec.comps
   in
-  (List.sort compare rows, List.sort compare res.Path_exec.regex_edges)
+  (List.sort compare rows, Path_exec.regex_edge_list res)
 
 let run db path ~edges_needed = run_gen db path ~edges_needed ~keep:(fun _ -> true)
 
@@ -369,7 +368,7 @@ let test_dead_states () =
     [ Ast.Rx_star; Ast.Rx_plus; Ast.Rx_count 2 ]
 
 (* ------------------------------------------------------------------ *)
-(* Parallel evaluation and determinization                              *)
+(* Parallel evaluation                                                *)
 
 let test_domain_invariance_large_frontier () =
   (* A hub fanning out to thousands of vertices: level-1 frontier exceeds
@@ -400,34 +399,6 @@ let test_domain_invariance_large_frontier () =
       if pooled <> serial then
         Alcotest.failf "domain count %d changed the result" domains)
     [ 2; 4; 8 ]
-
-let test_determinize_parity () =
-  let saved = !Path_exec.rpq_determinize in
-  Fun.protect ~finally:(fun () -> Path_exec.rpq_determinize := saved)
-    (fun () ->
-      for seed = 40 to 49 do
-        let rng = Rng.make seed in
-        let w = random_world rng in
-        let db = build_db w in
-        let start = Rng.int rng w.na in
-        List.iter
-          (fun op ->
-            let path =
-              regex_path ~start ~body:[ atom_aa; atom_aa ] ~op
-            in
-            Path_exec.rpq_determinize := false;
-            let nfa =
-              with_engine true (fun () -> run db path ~edges_needed:false)
-            in
-            Path_exec.rpq_determinize := true;
-            let dfa =
-              with_engine true (fun () -> run db path ~edges_needed:false)
-            in
-            if fst nfa <> fst dfa then
-              Alcotest.failf "seed %d %s: determinized run diverges" seed
-                (op_name op))
-          ops
-      done)
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN and observability                                           *)
@@ -587,7 +558,6 @@ let () =
         [
           Alcotest.test_case "domain invariance, big frontier" `Slow
             test_domain_invariance_large_frontier;
-          Alcotest.test_case "determinize parity" `Slow test_determinize_parity;
         ] );
       ( "explain-and-obs",
         [

@@ -14,6 +14,7 @@ module Graph_store = Graql_graph.Graph_store
 module Vset = Graql_graph.Vset
 module Eset = Graql_graph.Eset
 module Ast = Graql_lang.Ast
+module Metrics = Graql_obs.Metrics
 module Gen = Graql_snb.Snb_gen
 module Queries = Graql_snb.Snb_queries
 module Reference = Graql_snb.Snb_reference
@@ -88,7 +89,7 @@ let raw_result db path ~edges_needed =
      subgraph capture); endpoint-only plans may legitimately skip the
      bookkeeping. *)
   ( comps,
-    if edges_needed then List.sort compare res.Path_exec.regex_edges else [] )
+    if edges_needed then Path_exec.regex_edge_list res else [] )
 
 let with_engine automaton f =
   let saved = !Path_exec.use_automaton in
@@ -215,6 +216,54 @@ let test_domain_count_invariance () =
         rest
   | [] -> assert false
 
+(* Regex edge noting at SF8 from the hub person: both engines note the
+   same edge sets at every pool width, and the automaton's [rpq.*]
+   counters equal pinned values ([rpq.noted_edges] counts every note,
+   repeats included). *)
+let test_noted_edges_pinned () =
+  let scale = 8 in
+  let person = Reference.hub_person ~scale () in
+  let comment, _ = Reference.deepest_comment ~scale () in
+  let noted = Metrics.counter "rpq.noted_edges"
+  and visited = Metrics.counter "rpq.visited_pairs" in
+  (* name, path, (edges, rpq.noted_edges, rpq.visited_pairs) *)
+  let queries =
+    [
+      ("knows+", Queries.path_knows_plus ~person, (1229, 1241, 282));
+      ("knows*", Queries.path_knows_star ~person, (1229, 1241, 282));
+      ("(knows knows)+", Queries.path_knows_knows_plus ~person, (1229, 2470, 563));
+      ("thread root", Queries.path_thread_root ~comment, (15, 15, 16));
+    ]
+  in
+  List.iter
+    (fun domains ->
+      let pool = Graql_parallel.Domain_pool.create ~domains () in
+      let s = Session.create ~pool () in
+      Gen.ingest_all ~seed:42 ~scale s;
+      let db = Session.db s in
+      let edges path =
+        Path_exec.regex_edge_list
+          (Path_exec.run ~db
+             ~params:(fun _ -> None)
+             ~mode:Path_exec.Keep_all (Ast.M_path path))
+      in
+      List.iter
+        (fun (name, path, (n_edges, n_noted, n_visited)) ->
+          let what fmt = Printf.sprintf ("%s at %d domains: " ^^ fmt) name domains in
+          let n0 = Metrics.counter_value noted
+          and v0 = Metrics.counter_value visited in
+          let auto = with_engine true (fun () -> edges path) in
+          check_int (what "rpq.noted_edges") n_noted (Metrics.counter_value noted - n0);
+          check_int (what "rpq.visited_pairs") n_visited
+            (Metrics.counter_value visited - v0);
+          check_int (what "edges") n_edges (List.length auto);
+          check (what "ascending") true (List.sort_uniq compare auto = auto);
+          check (what "automaton = closure") true
+            (auto = with_engine false (fun () -> edges path)))
+        queries;
+      Graql_parallel.Domain_pool.shutdown pool)
+    [ 1; 2; 4; 8 ]
+
 let test_scripts_end_to_end () =
   let s = session ~scale:1 () in
   let person = Reference.hub_person ~scale:1 () in
@@ -279,6 +328,8 @@ let () =
             test_engines_byte_identical;
           Alcotest.test_case "domain-count invariance" `Slow
             test_domain_count_invariance;
+          Alcotest.test_case "noted edges and counters, SF8" `Slow
+            test_noted_edges_pinned;
         ] );
       ( "end-to-end",
         [
