@@ -301,7 +301,7 @@ let seed_vertices_of_type st ~tidx ~(cond : Ast.expr option) ~self_names ~sub =
   let vset = st.u.Pack.vtypes.(tidx) in
   let compiled = compile_vcond st vset cond ~self_names in
   let accept v =
-    (match sub with Some bits -> Bitset.mem bits v | None -> true)
+    (match sub with Some bits -> Bitset.mem_padded bits v | None -> true)
     && (match compiled with
        | Some c -> Step_cond.eval_vertex c ~row:[||] ~vertex:v
        | None -> true)
@@ -622,7 +622,8 @@ let expand_step st (e : Ast.estep) (v : Ast.vstep) =
           Hashtbl.mem set cell
           && Pack.tidx cell = Pack.tidx (Int_vec.unsafe_get bound (parent k)))
   | T_env set -> filter (fun k -> Hashtbl.mem set (vcell k))
-  | T_seeded (_, bits) -> filter (fun k -> Bitset.mem bits (Pack.id (vcell k))));
+  | T_seeded (_, bits) ->
+      filter (fun k -> Bitset.mem_padded bits (Pack.id (vcell k))));
   if Array.exists Option.is_some vcond then
     filter (fun k ->
         let cell = vcell k in

@@ -12,17 +12,28 @@ let empty name = { name; vsets = Hashtbl.create 8; esets = Hashtbl.create 8 }
 let name t = t.name
 
 (* A type's first set is taken over, not copied: result capture hands in
-   bitsets it has just built. Later sets of the same type are unioned in. *)
-let add_set ~what sets key bits =
+   bitsets it has just built. Later sets of the same type are unioned in.
+   Ids are stable as a type grows (view maintenance appends), so sets of
+   different lengths are the same domain at different times: the shorter
+   one is padded. *)
+let add_set sets key bits =
   match Hashtbl.find_opt sets key with
   | Some existing ->
-      if Bitset.length existing <> Bitset.length bits then
-        invalid_arg ("Subgraph." ^ what ^ ": domain mismatch");
-      Bitset.union_into existing bits
+      let n = Bitset.length bits in
+      let existing =
+        if Bitset.length existing >= n then existing
+        else begin
+          let grown = Bitset.padded existing n in
+          Hashtbl.replace sets key grown;
+          grown
+        end
+      in
+      Bitset.union_into existing
+        (if n = Bitset.length existing then bits
+         else Bitset.padded bits (Bitset.length existing))
   | None -> Hashtbl.add sets key bits
 
-let add_vertices t ~vtype bits =
-  add_set ~what:"add_vertices" t.vsets (norm vtype) bits
+let add_vertices t ~vtype bits = add_set t.vsets (norm vtype) bits
 
 let add_vertex_list t ~vtype ids ~size =
   add_vertices t ~vtype (Bitset.of_list size ids)
@@ -31,7 +42,7 @@ let add_vertex_list t ~vtype ids ~size =
 let add_edges t ~etype bits =
   let key = norm etype in
   if Hashtbl.mem t.esets key || not (Bitset.is_empty bits) then
-    add_set ~what:"add_edges" t.esets key bits
+    add_set t.esets key bits
 
 let vertices t ~vtype = Hashtbl.find_opt t.vsets (norm vtype)
 

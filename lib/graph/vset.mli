@@ -18,6 +18,10 @@ val key_schema : t -> Schema.t
 val one_to_one : t -> bool
 val source_table : t -> Table.t
 
+val rows_seen : t -> int
+(** Rows of the source table the view has keyed: the view is Eq. 1 over
+    that prefix of the table. *)
+
 val attr_schema : t -> Schema.t
 (** Schema of the attributes visible on instances of this type. *)
 
@@ -42,16 +46,23 @@ val attr_row : t -> int -> int
 val attr_table : t -> Table.t
 
 (** Construction — used by {!Builder}. *)
-val make :
-  name:string ->
-  key_schema:Schema.t ->
+
+val empty : name:string -> key_schema:Schema.t -> source_table:Table.t -> t
+(** The view over no rows of its source. *)
+
+val extend :
+  t ->
   keys:Value.t array array ->
-  key_index:(string, int) Hashtbl.t ->
+  key_level:(string, int) Hashtbl.t ->
   attr_table:Table.t ->
   attr_rows:int array ->
   one_to_one:bool ->
-  source_table:Table.t ->
+  rows_seen:int ->
   t
+(** A new view holding [t]'s vertices followed by vertices [size t + i]
+    with key tuple [keys.(i)] and attribute row [attr_rows.(i)].
+    [key_level] maps the new key strings to their ids and is taken over.
+    Existing ids keep their keys; [t] is left as it was. *)
 
 val key_of_values : Value.t array -> string
 (** The canonical hash key for a key tuple (shared with Builder). *)

@@ -11,8 +11,9 @@ module Int_vec = Graql_util.Int_vec
    the two paths byte for byte. *)
 let vectorized = ref true
 
-let select_indices ?pool table pred =
+let select_indices ?pool ?(lo = 0) table pred =
   let n = Table.nrows table in
+  let first = lo in
   (* Batch path: chunked tri-mask evaluation over raw payloads. Falls
      back to the compiled per-row closure, then to the generic
      evaluator (all three are property-tested equivalent). *)
@@ -22,8 +23,10 @@ let select_indices ?pool table pred =
   match batch with
   | Some mk -> (
       match pool with
-      | Some pool when n >= 4096 ->
-          let ranges = Array.of_list (Pool.chunk_ranges pool ~lo:0 ~hi:n ()) in
+      | Some pool when n - first >= 4096 ->
+          let ranges =
+            Array.of_list (Pool.chunk_ranges pool ~lo:first ~hi:n ())
+          in
           let outs = Array.map (fun _ -> Int_vec.create ()) ranges in
           Pool.run_tasks pool
             (Array.to_list
@@ -39,7 +42,7 @@ let select_indices ?pool table pred =
           Int_vec.to_array acc
       | _ ->
           let out = Int_vec.create () in
-          (mk ()) ~lo:0 ~hi:n out;
+          (mk ()) ~lo:first ~hi:n out;
           Int_vec.to_array out)
   | None -> (
       let row_test =
@@ -56,7 +59,7 @@ let select_indices ?pool table pred =
         done
       in
       match pool with
-      | Some pool when n >= 4096 ->
+      | Some pool when n - first >= 4096 ->
           let acc =
             Pool.parallel_reduce pool
               ~init:(fun () -> Int_vec.create ())
@@ -64,12 +67,12 @@ let select_indices ?pool table pred =
               ~merge:(fun a b ->
                 Int_vec.append a b;
                 a)
-              ~lo:0 ~hi:n
+              ~lo:first ~hi:n
           in
           Int_vec.to_array acc
       | Some _ | None ->
           let out = Int_vec.create () in
-          eval_range 0 n out;
+          eval_range first n out;
           Int_vec.to_array out)
 
 (* Columnar materialization: gather each output column from the source

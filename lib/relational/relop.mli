@@ -14,9 +14,13 @@ val vectorized : bool ref
     either way (property-tested). *)
 
 val select_indices :
-  ?pool:Graql_parallel.Domain_pool.t -> Table.t -> Row_expr.t -> int array
-(** Row ids satisfying the predicate, in row order (deterministic under any
-    pool size). *)
+  ?pool:Graql_parallel.Domain_pool.t ->
+  ?lo:int ->
+  Table.t ->
+  Row_expr.t ->
+  int array
+(** Row ids from [lo] (default 0) on satisfying the predicate, in row
+    order (deterministic under any pool size). *)
 
 val materialize : ?name:string -> Table.t -> int array -> Table.t
 (** New table containing exactly the given rows, in order. *)

@@ -43,6 +43,11 @@ let mem t i =
   check t i;
   Char.code (Bytes.unsafe_get t.words (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
+let mem_padded t i =
+  if i < 0 then invalid_arg "Bitset: index out of bounds";
+  i < t.len
+  && Char.code (Bytes.unsafe_get t.words (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
 let assign t i b = if b then set t i else clear t i
 
 let popcount_byte =
@@ -79,6 +84,12 @@ let inter_into dst src = binop ( land ) dst src
 let diff_into dst src = binop (fun a b -> a land lnot b) dst src
 
 let copy t = { len = t.len; words = Bytes.copy t.words }
+
+let padded t n =
+  if n < t.len then invalid_arg "Bitset.padded";
+  let words = Bytes.make (nbytes n) '\000' in
+  Bytes.blit t.words 0 words 0 (Bytes.length t.words);
+  { len = n; words }
 
 let iter f t =
   let n = Bytes.length t.words in

@@ -15,6 +15,12 @@ val length : t -> int
 val set : t -> int -> unit
 val clear : t -> int -> unit
 val mem : t -> int -> bool
+
+val mem_padded : t -> int -> bool
+(** [mem], except that an index at or beyond the domain reads as not a
+    member: the set behaves as if padded with zeros to any larger
+    domain. For sets over an id domain that only grows. *)
+
 val assign : t -> int -> bool -> unit
 
 val cardinal : t -> int
@@ -32,6 +38,11 @@ val diff_into : t -> t -> unit
 (** [diff_into dst src] sets [dst <- dst & ~src]. Domains must match. *)
 
 val copy : t -> t
+
+val padded : t -> int -> t
+(** [padded t n] is a copy of [t] over the domain [0, n), [n >= length
+    t]; the indices it adds are not members. *)
+
 val fill : t -> bool -> unit
 
 val iter : (int -> unit) -> t -> unit
