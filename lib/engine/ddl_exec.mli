@@ -28,11 +28,14 @@ val exec_create_vertex : Db.t -> Db.vertex_def -> unit
 val exec_create_edge : Db.t -> Db.edge_def -> unit
 
 val build_graph : Db.t -> Graql_graph.Graph_store.t
-(** (Re)build declared views from current table contents (Eq. 1 and
-    Eq. 2). Views whose dependency tables are unchanged since the previous
-    build are reused rather than rebuilt (selective maintenance); edges
-    additionally require both endpoint views to have been reused. Raises
-    {!Ddl_error} when a definition cannot be realized. *)
+(** Build declared views from current table contents (Eq. 1 and Eq. 2)
+    as a new graph, starting from the build the last invalidation
+    replaced ({!Db.last_built}). A view whose tables and parameters are
+    unchanged is reused; one whose tables are the same objects and have
+    only grown is extended with the appended rows; any other is built
+    from row 0 (DESIGN.md §5). The fingerprints are recorded with
+    {!Db.set_view_fingerprints}. Raises {!Ddl_error} when a definition
+    cannot be realized. *)
 
 val edge_deps : Db.t -> Db.edge_def -> string list
 (** Normalized names of the tables an edge view reads. *)
