@@ -114,7 +114,7 @@ let test_prometheus_escaping () =
 (* Counters outside sched.* / fault.* describe what the queries computed,
    not how the work was scheduled, so they must not move when the same
    workload runs on 1, 2, 4 or 8 domains (DESIGN.md §10). *)
-let semantic_prefixes = [ "script."; "path."; "table."; "wal." ]
+let semantic_prefixes = [ "script."; "path."; "table."; "wal."; "graph." ]
 
 let semantic_counters sn =
   List.filter
