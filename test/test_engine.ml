@@ -928,7 +928,7 @@ let test_dependence_edges () =
         select x from table A into table C
         select x from table B into table D|}
   in
-  let edges = Script_exec.dependence_edges script in
+  let edges = Script_exec.dependence_edges ~view_reads:(fun _ -> false) script in
   let dep i j = List.mem (i, j) edges in
   check "ingest after create" true (dep 0 1);
   check "select after ingest" true (dep 1 2);
@@ -938,7 +938,7 @@ let test_dependence_edges () =
      it as it happens. *)
   check "create tables ordered" true
     (List.mem (0, 1)
-       (Script_exec.dependence_edges
+       (Script_exec.dependence_edges ~view_reads:(fun _ -> false)
           (Parser.parse_script "create table P(x integer) create table Q(y integer)")))
 
 let test_parallel_script_equals_serial () =

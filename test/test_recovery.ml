@@ -333,7 +333,7 @@ let test_parallel_registration_order () =
   ignore (populate ~domains:1 setup);
   check_int "one wave" 0
     (List.length
-       (Script_exec.dependence_edges
+       (Script_exec.dependence_edges ~view_reads:(fun _ -> false)
           (Graql_lang.Parser.parse_script wave_script)));
   let tables = List.init 8 (Printf.sprintf "R%d")
   and subgraphs = List.init 4 (Printf.sprintf "S%d") in
