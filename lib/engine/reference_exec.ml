@@ -12,11 +12,14 @@ let norm = String.lowercase_ascii
 type partial = int list
 
 type label_info = { li_pos : int (* vstep index *); li_each : bool }
+type result = { tuples : int array list; edges : int list }
 
 let run_path ~db ~params (p : Ast.path) =
   let u = Pack.universe (Db.graph db) in
   let labels : (string, label_info) Hashtbl.t = Hashtbl.create 4 in
   let no_slots = { Step_cond.find_slot = (fun _ -> None) } in
+  (* Packed cells of the regex-traversed edges. *)
+  let noted : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   (* Conditions may reference labels; resolve label refs by evaluating
      against the partial tuple. We reuse Step_cond with a slot lookup that
      maps label names to positions in the tuple-so-far (vstep indices). *)
@@ -181,7 +184,14 @@ let run_path ~db ~params (p : Ast.path) =
      over rounds and keeps the start, [+] runs one round then closes,
      [{n}] runs exactly [n] rounds. Conditions inside the group cannot see
      label slots (same rule as the engines), so they compile with an empty
-     slot lookup and evaluate against an empty row. *)
+     slot lookup and evaluate against an empty row.
+
+     Traversed edges: for each cell reaching the segment, an edge is
+     traversed iff it lies on a complete body traversal of a walk the
+     operator accepts — [*]/[+] any number of rounds, [{n}] exactly [n]
+     rounds (a walk that cannot run all [n] is pruned). A traversal that
+     dies mid-body notes nothing. Every clause is a union over the cells
+     reaching the segment, so they are evaluated as one set. *)
   let regex (partials : partial list) (body : (Ast.estep * Ast.vstep) list)
       (op : Ast.rx_op) : partial list =
     List.iter
@@ -192,7 +202,9 @@ let run_path ~db ~params (p : Ast.path) =
         | Ast.V_seeded _ -> raise (Unsupported "seeded steps")
         | _ -> ())
       body;
-    let expand_atom ((e : Ast.estep), (v : Ast.vstep))
+    (* Every edge of the atom leaving [cells] that passes its conditions,
+       as (from cell, packed edge, to cell). *)
+    let atom_edges ((e : Ast.estep), (v : Ast.vstep))
         (cells : (int, unit) Hashtbl.t) =
       let target =
         match v.Ast.v_kind with
@@ -236,9 +248,9 @@ let run_path ~db ~params (p : Ast.path) =
             | Some c ->
                 Step_cond.eval_vertex c ~row:[||] ~vertex:(Pack.id cell))
       in
-      let out = Hashtbl.create 16 in
-      Array.iter
-        (fun eset ->
+      let out = ref [] in
+      Array.iteri
+        (fun eidx eset ->
           let name_ok =
             match e.Ast.e_kind with
             | Ast.E_named n -> norm n = norm (Eset.name eset)
@@ -280,18 +292,49 @@ let run_path ~db ~params (p : Ast.path) =
                        | None -> true
                        | Some c -> Step_cond.eval_edge c ~row:[||] ~edge:eid)
                     && vertex_ok to_cell
-                  then Hashtbl.replace out to_cell ()
+                  then
+                    out :=
+                      (from_cell, Pack.pack ~tidx:eidx ~id:eid, to_cell) :: !out
                 done
             | _ -> ())
         u.Pack.etypes;
-      out
+      !out
     in
-    let round cells = List.fold_left (fun cur a -> expand_atom a cur) cells body in
-    let singleton c =
-      let h = Hashtbl.create 4 in
-      Hashtbl.replace h c ();
+    let set_of cells =
+      let h = Hashtbl.create 16 in
+      List.iter (fun c -> Hashtbl.replace h c ()) cells;
       h
     in
+    (* One complete body traversal of [cells]: the edges each atom takes,
+       last atom first, and the cells the traversal ends on. *)
+    let traverse cells =
+      List.fold_left
+        (fun (layers, cur) a ->
+          let es = atom_edges a cur in
+          (es :: layers, set_of (List.map (fun (_, _, t) -> t) es)))
+        ([], cells) body
+    in
+    let round cells = snd (traverse cells) in
+    (* Note the edges of the traversals from [cells] that complete the
+       body on a cell satisfying [lands]; returns the cells they start
+       from. *)
+    let complete cells ~lands =
+      fst
+        (List.fold_left
+           (fun (_, lands) layer ->
+             let next = Hashtbl.create 16 in
+             List.iter
+               (fun (f, edge, t) ->
+                 if lands t then begin
+                   Hashtbl.replace noted edge ();
+                   Hashtbl.replace next f ()
+                 end)
+               layer;
+             (next, Hashtbl.mem next))
+           (Hashtbl.create 1, lands)
+           (fst (traverse cells)))
+    in
+    let singleton c = set_of [ c ] in
     let closure_into reached frontier =
       (* BFS over the "one complete traversal" relation. *)
       let front = ref frontier in
@@ -308,16 +351,18 @@ let run_path ~db ~params (p : Ast.path) =
         front := fresh
       done
     in
+    let levels n starts =
+      let lv = Array.make (n + 1) starts in
+      for k = 1 to n do
+        lv.(k) <- round lv.(k - 1)
+      done;
+      lv
+    in
     let eval_from start =
       match op with
       | Ast.Rx_count n when n < 0 ->
           raise (Unsupported "negative repetition count")
-      | Ast.Rx_count n ->
-          let cur = ref (singleton start) in
-          for _ = 1 to n do
-            cur := round !cur
-          done;
-          !cur
+      | Ast.Rx_count n -> (levels n (singleton start)).(n)
       | Ast.Rx_star ->
           let reached = singleton start in
           closure_into reached (singleton start);
@@ -328,6 +373,19 @@ let run_path ~db ~params (p : Ast.path) =
           closure_into reached first;
           reached
     in
+    let starts = set_of (List.map List.hd partials) in
+    (match op with
+    | Ast.Rx_star | Ast.Rx_plus ->
+        let reached = Hashtbl.copy starts in
+        closure_into reached starts;
+        ignore (complete reached ~lands:(fun _ -> true))
+    | Ast.Rx_count n when n < 0 -> ()
+    | Ast.Rx_count n ->
+        let lv = levels n starts in
+        let kept = ref lv.(n) in
+        for k = n - 1 downto 0 do
+          kept := complete lv.(k) ~lands:(Hashtbl.mem !kept)
+        done);
     let memo : (int, int list) Hashtbl.t = Hashtbl.create 16 in
     let out = ref [] in
     List.iter
@@ -358,4 +416,7 @@ let run_path ~db ~params (p : Ast.path) =
       (partials, 1) p.Ast.segments
     |> fst
   in
-  List.map (fun partial -> Array.of_list (List.rev partial)) final
+  {
+    tuples = List.map (fun partial -> Array.of_list (List.rev partial)) final;
+    edges = List.sort compare (Hashtbl.fold (fun c () acc -> c :: acc) noted []);
+  }

@@ -240,7 +240,7 @@ let engine_tuples db ~auto_reverse path =
 let reference_tuples db path =
   List.sort compare
     (List.map Array.to_list
-       (Reference_exec.run_path ~db ~params:(fun _ -> None) path))
+       (Reference_exec.run_path ~db ~params:(fun _ -> None) path).tuples)
 
 let prop_engine_matches_reference =
   QCheck.Test.make ~name:"path executor = brute-force oracle" ~count:150
