@@ -1232,16 +1232,14 @@ let sweep_regex_depth () =
   print_endline
     (Graql_util.Text_table.render ~header:[ "{n}"; "time(ms)" ] rows)
 
-(* SNB deep traversals (DESIGN.md §15): the Kleene-star workload through
-   the memoized-closure regex path and through the product-automaton
-   engine, every answer checked against the CSV oracles before timing.
-   The [_edges] rows time the automaton with traversed-edge noting on,
-   the path [select * ... into subgraph] takes; their noted edges are
-   checked against the closure engine's. Backing data for BENCH_snb.json
-   (--json mode). *)
+(* SNB deep traversals (DESIGN.md §15) on the product-automaton engine,
+   every answer checked against the CSV oracles before timing. The
+   [_edges] rows time the automaton with traversed-edge noting on, the
+   path [select * ... into subgraph] takes; their noted edges are checked
+   against [Reference_exec]'s. Backing data for BENCH_snb.json (--json
+   mode). *)
 let sweep_snb ?(json = false) () =
-  print_endline
-    "\n== SNB deep traversals: memoized closure vs product automaton ==";
+  print_endline "\n== SNB deep traversals: product automaton ==";
   let scale = 6 in
   let s = Graql.create_session () in
   Graql.Snb.Gen.ingest_all ~scale s;
@@ -1271,13 +1269,6 @@ let sweep_snb ?(json = false) () =
                     (Graql.Pack.id cell))
                 c.Graql.Path_exec.rows))
     | _ -> []
-  in
-  let with_engine automaton f =
-    let saved = !Graql.Path_exec.use_automaton in
-    Graql.Path_exec.use_automaton := automaton;
-    Fun.protect
-      ~finally:(fun () -> Graql.Path_exec.use_automaton := saved)
-      f
   in
   (* Automaton runs take tens of microseconds here: best of 3 swings by
      half between runs, best of 25 stays inside the gate's tolerance. *)
@@ -1311,34 +1302,24 @@ let sweep_snb ?(json = false) () =
   let entries =
     List.map
       (fun (name, path, oracle) ->
-        let closure_ans = with_engine false (fun () -> endpoints path) in
-        let rpq_ans = with_engine true (fun () -> endpoints path) in
-        if closure_ans <> oracle then
-          failwith (Printf.sprintf "snb %s: closure answer != oracle" name);
-        if rpq_ans <> oracle then
+        if endpoints path <> oracle then
           failwith (Printf.sprintf "snb %s: automaton answer != oracle" name);
-        let closure =
-          with_engine false (fun () ->
-              time_best (fun () -> ignore (endpoints path)))
-        in
-        let rpq =
-          with_engine true (fun () ->
-              time_best ~reps:rpq_reps (fun () -> ignore (endpoints path)))
-        in
-        (name, Some closure, rpq))
+        let rpq = time_best ~reps:rpq_reps (fun () -> ignore (endpoints path)) in
+        (name, false, rpq))
       queries
   in
   let edge_entries =
     List.map
       (fun (name, path) ->
-        if with_engine true (fun () -> noted_edges path)
-           <> with_engine false (fun () -> noted_edges path)
-        then failwith (Printf.sprintf "snb %s: noted edges differ" name);
-        let rpq =
-          with_engine true (fun () ->
-              time_best ~reps:rpq_reps (fun () -> ignore (noted_edges path)))
+        let reference =
+          Graql.Reference_exec.run_path ~db:d ~params:(fun _ -> None) path
         in
-        (name ^ "_edges", None, rpq))
+        if noted_edges path <> reference.Graql.Reference_exec.edges then
+          failwith (Printf.sprintf "snb %s: noted edges != reference" name);
+        let rpq =
+          time_best ~reps:rpq_reps (fun () -> ignore (noted_edges path))
+        in
+        (name ^ "_edges", true, rpq))
       [
         ("knows_plus", Graql.Snb.Queries.path_knows_plus ~person);
         ("knows_knows_plus", Graql.Snb.Queries.path_knows_knows_plus ~person);
@@ -1347,38 +1328,22 @@ let sweep_snb ?(json = false) () =
   let entries = entries @ edge_entries in
   print_endline
     (Graql_util.Text_table.render
-       ~header:[ "traversal"; "closure(ms)"; "automaton(ms)"; "speedup" ]
+       ~header:[ "traversal"; "edges noted"; "automaton(ms)" ]
        (List.map
-          (fun (name, closure, rpq) ->
-            match closure with
-            | Some closure ->
-                [
-                  name;
-                  ms closure;
-                  ms rpq;
-                  Printf.sprintf "%.1fx" (closure /. rpq);
-                ]
-            | None -> [ name; "-"; ms rpq; "-" ])
+          (fun (name, edges_needed, rpq) ->
+            [ name; string_of_bool edges_needed; ms rpq ])
           entries));
   if json then begin
     let buf = Buffer.create 512 in
     Buffer.add_string buf "[\n";
     List.iteri
-      (fun i (name, closure, rpq) ->
+      (fun i (name, edges_needed, rpq) ->
         if i > 0 then Buffer.add_string buf ",\n";
         Buffer.add_string buf
-          (match closure with
-          | Some closure ->
-              Printf.sprintf
-                "  {\"name\": %S, \"scale\": %d, \"closure_ms\": %.3f, \
-                 \"rpq_ms\": %.3f, \"speedup\": %.2f}"
-                name scale (closure *. 1000.0) (rpq *. 1000.0)
-                (closure /. rpq)
-          | None ->
-              Printf.sprintf
-                "  {\"name\": %S, \"scale\": %d, \"edges_needed\": true, \
-                 \"rpq_ms\": %.3f}"
-                name scale (rpq *. 1000.0)))
+          (Printf.sprintf "  {\"name\": %S, \"scale\": %d, %s\"rpq_ms\": %.3f}"
+             name scale
+             (if edges_needed then "\"edges_needed\": true, " else "")
+             (rpq *. 1000.0)))
       entries;
     Buffer.add_string buf "\n]\n";
     let oc = open_out "BENCH_snb.json" in
@@ -1620,9 +1585,7 @@ let check_join baseline =
       | _ -> None)
     (Option.value (Json.to_list baseline) ~default:[])
 
-(* The SNB sweep gates the automaton engine's latency per traversal; the
-   closure timings are recorded for the speedup story, not gated (the
-   closure path is the frozen reference implementation). *)
+(* The SNB sweep gates the automaton engine's latency per traversal. *)
 let check_snb baseline =
   let current = Lazy.force current_snb in
   List.filter_map

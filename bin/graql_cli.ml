@@ -596,13 +596,6 @@ let snb_cmd =
                 q_knows_knows_plus, q_reply_chain4, q_thread_root, \
                 q_moderator_reach, all.")
   in
-  let closure_arg =
-    Arg.(
-      value & flag
-      & info [ "closure" ]
-          ~doc:"Evaluate path regexes with the memoized-closure reference \
-                path instead of the product-automaton engine.")
-  in
   let profile_arg =
     Arg.(
       value & flag
@@ -611,12 +604,11 @@ let snb_cmd =
                 per-automaton-state estimated vs actual frontier sizes and \
                 per-operator wall times.")
   in
-  let action scale seed query domains params closure profile deadline_ms
+  let action scale seed query domains params profile deadline_ms
       fault_seed
       metrics_dump trace_out slow_ms query_log listen serve_ms =
     with_typed_errors @@ fun () ->
     setup_obs ?query_log ~trace_out ~slow_ms ();
-    Graql.Path_exec.use_automaton := not closure;
     let session = make_session ?domains ?fault_seed ~params () in
     let tel = start_telemetry listen session in
     Graql.Snb.Gen.ingest_all ~seed ~scale session;
@@ -679,7 +671,7 @@ let snb_cmd =
        ~doc:"Generate, load and query the SNB deep-traversal scenario")
     Term.(
       ret (const action $ scale_arg $ seed_arg $ query_arg $ domains_arg
-           $ params_arg $ closure_arg $ profile_arg $ deadline_arg
+           $ params_arg $ profile_arg $ deadline_arg
            $ fault_seed_arg $ metrics_dump_arg $ trace_out_arg $ slow_ms_arg
            $ query_log_arg $ listen_arg $ serve_ms_arg))
 

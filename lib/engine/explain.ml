@@ -234,12 +234,8 @@ let explain_path ~db ~params ?(edges_needed = true) (p : Ast.path) =
           (* One row per automaton state, then the segment summary row —
              mirroring the executor's per-state profile samples followed
              by the step timer's summary sample. *)
-          let state_rows =
-            if !Path_exec.use_automaton then
-              regex_state_steps u ~incoming:!est xr
-            else []
-          in
-          steps := List.rev_append state_rows !steps;
+          steps :=
+            List.rev_append (regex_state_steps u ~incoming:!est xr) !steps;
           let fanout =
             List.fold_left
               (fun acc (e, v) ->

@@ -38,11 +38,6 @@ exception Exec_error of Loc.t * string
 let error loc fmt = Printf.ksprintf (fun msg -> raise (Exec_error (loc, msg))) fmt
 let norm = String.lowercase_ascii
 
-(* Regex segments default to the product-automaton engine ([Rpq]); the
-   closure evaluator below is kept verbatim as the reference
-   implementation and for A/B benchmarking. *)
-let use_automaton = ref true
-
 (* ------------------------------------------------------------------ *)
 (* Planned paths: the execution form after direction choice. Reversing a
    regex segment cannot be a pure AST rewrite — the vertex preceding the
@@ -667,9 +662,9 @@ let expand_step st (e : Ast.estep) (v : Ast.vstep) =
 (* ------------------------------------------------------------------ *)
 (* Regex segments                                                      *)
 
-(* Both regex engines hand over, per row, the ascending endpoint column of
-   its last cell: the row extends once per endpoint, and the earlier
-   columns are gathered through the parent index. *)
+(* The automaton hands over, per row, the ascending endpoint column of its
+   last cell: the row extends once per endpoint, and the earlier columns
+   are gathered through the parent index. *)
 let endpoint_rows st reach =
   let cur = st.cols.(nslots st - 1) in
   let par = Int_vec.create () and ends = Int_vec.create () in
@@ -693,225 +688,9 @@ let push_endpoints st (par, ends) loc =
   check_budget st loc;
   retain st
 
-(* One traversal of the group body from a single cell. Returns the cells
-   reached and the packed edges used. Conditions inside the body may only
-   reference the step's own attributes. *)
-let regex_round st (body : (Ast.estep * Ast.vstep) list) =
-  let no_slots : Step_cond.slot_lookup = { Step_cond.find_slot = (fun _ -> None) } in
-  let vcond_cache : (int * int, Step_cond.t option) Hashtbl.t = Hashtbl.create 8 in
-  let econd_cache : (int * int, Step_cond.t option) Hashtbl.t = Hashtbl.create 8 in
-  let step_one bi ((e : Ast.estep), (v : Ast.vstep)) cells =
-    if v.Ast.v_label <> None then
-      error v.Ast.v_loc "labels are not supported inside path regexes";
-    if e.Ast.e_label <> None then
-      error e.Ast.e_loc "labels are not supported inside path regexes";
-    let required_other =
-      match v.Ast.v_kind with
-      | Ast.V_named n -> (
-          match Pack.vtype_index st.u n with
-          | Some t -> Some t
-          | None -> error v.Ast.v_loc "no such vertex type %S" n)
-      | Ast.V_any -> None
-      | Ast.V_seeded _ ->
-          error v.Ast.v_loc "subgraph seeds are not allowed inside regexes"
-    in
-    let out = ref [] in
-    List.iter
-      (fun (cell, edges) ->
-        let travs =
-          traversals_for st e ~ltidx:(Pack.tidx cell) ~required_other
-        in
-        List.iter
-          (fun tr ->
-            let eset = st.u.Pack.etypes.(tr.tr_eidx) in
-            let econd =
-              match e.Ast.e_cond with
-              | None -> None
-              | Some c -> (
-                  match Hashtbl.find_opt econd_cache (bi, tr.tr_eidx) with
-                  | Some cached -> cached
-                  | None ->
-                      let compiled =
-                        try
-                          Some
-                            (Step_cond.compile_edge ~params:st.params
-                               ~universe:st.u ~slots:no_slots
-                               ~self_names:
-                                 (match e.Ast.e_kind with
-                                 | Ast.E_named n -> [ n ]
-                                 | Ast.E_any -> [])
-                               ~eset c)
-                        with Compile_expr.Compile_error (loc, msg) ->
-                          error loc "%s" msg
-                      in
-                      Hashtbl.replace econd_cache (bi, tr.tr_eidx) compiled;
-                      compiled)
-            in
-            let vcond =
-              match v.Ast.v_cond with
-              | None -> None
-              | Some c -> (
-                  match Hashtbl.find_opt vcond_cache (bi, tr.tr_other) with
-                  | Some cached -> cached
-                  | None ->
-                      let vset = st.u.Pack.vtypes.(tr.tr_other) in
-                      let compiled =
-                        try
-                          Some
-                            (Step_cond.compile_vertex ~params:st.params
-                               ~universe:st.u ~slots:no_slots
-                               ~self_names:
-                                 (match v.Ast.v_kind with
-                                 | Ast.V_named n -> [ n ]
-                                 | _ -> [])
-                               ~vset c)
-                        with Compile_expr.Compile_error (loc, msg) ->
-                          error loc "%s" msg
-                      in
-                      Hashtbl.replace vcond_cache (bi, tr.tr_other) compiled;
-                      compiled)
-            in
-            let csr = if tr.tr_out then Eset.forward eset else Eset.reverse eset in
-            Graql_graph.Csr.iter_neighbors csr (Pack.id cell)
-              (fun ~dst:nbr ~eid ->
-                let eok =
-                  match econd with
-                  | Some c -> Step_cond.eval_edge c ~row:[||] ~edge:eid
-                  | None -> true
-                in
-                if eok then begin
-                  let vok =
-                    match vcond with
-                    | Some c -> Step_cond.eval_vertex c ~row:[||] ~vertex:nbr
-                    | None -> true
-                  in
-                  if vok then
-                    out :=
-                      ( Pack.pack ~tidx:tr.tr_other ~id:nbr,
-                        Pack.pack ~tidx:tr.tr_eidx ~id:eid :: edges )
-                      :: !out
-                end))
-          travs)
-      cells;
-    !out
-  in
-  fun start ->
-    let cells = ref [ (start, []) ] in
-    List.iteri (fun bi pair -> cells := step_one bi pair !cells) body;
-    !cells
-
-let expand_regex st (body : (Ast.estep * Ast.vstep) list) (op : Ast.rx_op) loc =
-  let round = regex_round st body in
-  let memo : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-  let note_edges =
-    List.iter (fun e ->
-        Bitset.set (Pack.edge_bits st.u st.regex_edges (Pack.tidx e)) (Pack.id e))
-  in
-  let closure ~include_start start =
-    match Hashtbl.find_opt memo ((if include_start then 1 else 0) + (start * 2)) with
-    | Some cached -> cached
-    | None ->
-        let visited = Hashtbl.create 32 in
-        if include_start then Hashtbl.replace visited start ();
-        let frontier = ref [ start ] in
-        let first = ref true in
-        while !frontier <> [] do
-          let next = ref [] in
-          List.iter
-            (fun cell ->
-              List.iter
-                (fun (endpoint, edges) ->
-                  note_edges edges;
-                  if not (Hashtbl.mem visited endpoint) then begin
-                    Hashtbl.replace visited endpoint ();
-                    next := endpoint :: !next
-                  end)
-                (round cell))
-            !frontier;
-          ignore !first;
-          first := false;
-          frontier := !next
-        done;
-        let endpoints = Hashtbl.fold (fun c () acc -> c :: acc) visited [] in
-        let endpoints = List.sort compare endpoints in
-        Hashtbl.replace memo ((if include_start then 1 else 0) + (start * 2)) endpoints;
-        endpoints
-  in
-  let exact_n n start =
-    match Hashtbl.find_opt memo ((start * 2) + 4 + n) with
-    | Some cached -> cached
-    | None ->
-        (* Level BFS: levels.(k) = cells at exactly k rounds; edge lists
-           per level, pruned backward so only edges on full-length paths
-           are reported. *)
-        let levels = Array.make (n + 1) [] in
-        let level_edges = Array.make (max n 1) [] in
-        levels.(0) <- [ start ];
-        for k = 0 to n - 1 do
-          let seen = Hashtbl.create 32 in
-          let next = ref [] in
-          List.iter
-            (fun cell ->
-              List.iter
-                (fun (endpoint, edges) ->
-                  level_edges.(k) <- (cell, endpoint, edges) :: level_edges.(k);
-                  if not (Hashtbl.mem seen endpoint) then begin
-                    Hashtbl.replace seen endpoint ();
-                    next := endpoint :: !next
-                  end)
-                (round cell))
-            levels.(k);
-          levels.(k + 1) <- !next
-        done;
-        (* Backward prune: an edge at level k survives if its endpoint is
-           kept at level k+1. *)
-        let kept = Array.make (n + 1) (Hashtbl.create 1) in
-        let tail = Hashtbl.create 32 in
-        List.iter (fun c -> Hashtbl.replace tail c ()) levels.(n);
-        kept.(n) <- tail;
-        for k = n - 1 downto 0 do
-          let keep_k = Hashtbl.create 32 in
-          List.iter
-            (fun (from, endpoint, edges) ->
-              if Hashtbl.mem kept.(k + 1) endpoint then begin
-                Hashtbl.replace keep_k from ();
-                note_edges edges
-              end)
-            level_edges.(k);
-          kept.(k) <- keep_k
-        done;
-        let endpoints = List.sort_uniq compare levels.(n) in
-        Hashtbl.replace memo ((start * 2) + 4 + n) endpoints;
-        endpoints
-  in
-  let reach start =
-    match op with
-    | Ast.Rx_star -> closure ~include_start:true start
-    | Ast.Rx_plus ->
-        (* At least one round: expand once, then the star closure of each
-           result (a reached vertex may loop further). *)
-        let after_one = round start in
-        let acc = Hashtbl.create 32 in
-        List.iter
-          (fun (endpoint, edges) ->
-            note_edges edges;
-            List.iter
-              (fun c -> Hashtbl.replace acc c ())
-              (closure ~include_start:true endpoint))
-          after_one;
-        List.sort compare (Hashtbl.fold (fun c () l -> c :: l) acc [])
-    | Ast.Rx_count n ->
-        if n < 0 then error loc "negative repetition count"
-        else exact_n n start
-  in
-  push_endpoints st
-    (endpoint_rows st (fun cur -> Int_vec.of_array (Array.of_list (reach cur))))
-    loc
-
-
-(* The automaton route: compile the group body once, then run product BFS
-   per distinct frontier cell (memoized like the closure route). Endpoint
-   sets, row order and noted edges are byte-identical to [expand_regex]. *)
+(* A regex segment: compile the group body once to an [Rpq] automaton,
+   then run product BFS per distinct frontier cell (memoized). Noted
+   edges follow [Reference_exec]'s traversed-edge definition. *)
 let expand_regex_nfa st (xr : xregex) =
   let a =
     try
@@ -969,7 +748,7 @@ let vstep_count_of_path (p : Ast.path) =
         | Ast.Seg_regex _ -> acc + 1)
       0 p.Ast.segments
 
-let rec path_has_labels (p : Ast.path) =
+let path_has_labels (p : Ast.path) =
   let vstep_labelled (v : Ast.vstep) = v.Ast.v_label <> None in
   vstep_labelled p.Ast.head
   || List.exists
@@ -977,11 +756,6 @@ let rec path_has_labels (p : Ast.path) =
          | Ast.Seg_step (_, v) -> vstep_labelled v
          | Ast.Seg_regex (body, _, _) -> List.exists (fun (_, v) -> vstep_labelled v) body)
        p.Ast.segments
-  || path_references_names p
-
-(* Conservative: any V_named that is not a known vertex type might be a
-   label reference; treated during planning only. *)
-and path_references_names _ = false
 
 let path_has_regex (p : Ast.path) =
   List.exists
@@ -1093,7 +867,7 @@ let regex_reversible ~u (p : Ast.path) =
 let direction ~u ~edges_needed (p : Ast.path) ~db ~params =
   let regex_ok =
     (not (path_has_regex p))
-    || (!use_automaton && (not edges_needed) && regex_reversible ~u p)
+    || ((not edges_needed) && regex_reversible ~u p)
   in
   if path_has_labels p || not regex_ok then `Forward
   else
@@ -1313,9 +1087,7 @@ let run_path ~db ~params ~u ~mode ~max_bytes ~env ~regex_edges ~auto_reverse
           Metrics.incr m_steps;
           match xs with
           | X_step (e, v) -> expand_step st e v
-          | X_regex xr ->
-              if !use_automaton then expand_regex_nfa st xr
-              else expand_regex st xr.xr_body xr.xr_op xr.xr_loc))
+          | X_regex xr -> expand_regex_nfa st xr))
     plan.px_steps;
   { layout = st.slots; cols = st.cols }
 

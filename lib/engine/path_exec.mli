@@ -75,12 +75,6 @@ exception Exec_error of Graql_lang.Loc.t * string
 val default_max_bytes : int
 (** 400 MB: 50M binding cells of 8 bytes. *)
 
-val use_automaton : bool ref
-(** When true (the default), regex segments run on the {!Rpq}
-    product-automaton engine; when false, on the original memoized-closure
-    evaluator (kept as the reference implementation). Results are
-    byte-identical either way. *)
-
 val run :
   db:Db.t ->
   params:(string -> Value.t option) ->

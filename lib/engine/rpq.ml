@@ -703,7 +703,7 @@ let eval a ?pool ?stats ?note ~start () =
   if note <> None then Metrics.add m_noted !noted;
   (* Endpoints: visited cells at accepting states, ascending packed order
      — [Pack.pack] is monotonic in (tidx, id), so per-type ascending
-     bitset iteration is exactly the closure engine's [List.sort compare]. *)
+     bitset iteration is [List.sort compare] order. *)
   let exit_pass cell =
     match a.a_exit with None -> true | Some ch -> vcheck_pass ch cell
   in

@@ -11,22 +11,19 @@
     Evaluation runs frontier BFS over the product of the graph with the
     automaton: the visited set is a [(vertex, state)] relation held in
     per-(state, vertex-type) {!Graql_util.Bitset} rows, so each product
-    pair is expanded at most once. This replaces the per-row Hashtbl
-    closures in [path_exec.ml], which enumerate every *path* through the
-    group body per round and are combinatorial for multi-atom bodies.
+    pair is expanded at most once, however many paths lead to it.
 
-    The evaluator reproduces the closure engine's observable behaviour
-    byte-for-byte: endpoint sets are returned sorted by packed cell, [*]
-    includes the start, [+] requires at least one complete traversal,
-    [{n}] means exactly [n] complete traversals, and the set of traversed
-    edges reported for subgraph capture contains exactly the edges lying
-    on complete (and, for [{n}], full-length) body traversals.
+    Semantics, checked against {!Reference_exec}: endpoint sets are
+    returned sorted by packed cell, [*] includes the start, [+] requires
+    at least one complete traversal, [{n}] means exactly [n] complete
+    traversals, and the traversed edges reported for subgraph capture
+    are exactly {!Reference_exec.result.edges}: the edges lying on
+    complete (and, for [{n}], full-length) body traversals.
 
-    One observable difference: the compiler validates the whole body
-    (label/seed/type errors, condition compilation) eagerly, while the
-    closure engine only validated traversals it actually exercised. The
-    static checker rejects all such bodies before execution, so the
-    difference is only reachable through the raw engine API. *)
+    The compiler validates the whole body (label/seed/type errors,
+    condition compilation) eagerly, before any traversal; the static
+    checker rejects all such bodies before execution, so these errors
+    are only reachable through the raw engine API. *)
 
 module Ast = Graql_lang.Ast
 module Loc = Graql_lang.Loc
@@ -86,7 +83,7 @@ val compile :
 
     Raises {!Rpq_error} on labels or subgraph seeds inside the body,
     unknown vertex types, negative [{n}] counts, and condition
-    compilation failures — the same diagnostics as the closure engine. *)
+    compilation failures. *)
 
 val nstates : t -> int
 val states : t -> state_info array
@@ -104,12 +101,12 @@ val eval :
   unit ->
   Graql_util.Int_vec.t
 (** [eval a ~start ()] runs product BFS from packed vertex cell [start]
-    and returns the packed endpoint cells, sorted ascending (the closure
-    engine's order), as the column the path executor appends to its
-    binding relation. [note], indexed by edge type, gets the id of every
-    edge lying on a complete body traversal set in that type's bitset —
-    exactly the closure engine's reported set. A missing bitset is
-    allocated over the type's id domain on its first edge. The
+    and returns the packed endpoint cells, sorted ascending, as the column
+    the path executor appends to its binding relation. [note], indexed by
+    edge type, gets the id of every edge lying on a complete body
+    traversal set in that type's bitset — exactly {!Reference_exec}'s
+    traversed-edge set. A missing bitset is allocated over the type's id
+    domain on its first edge. The
     [rpq.noted_edges] counter grows by the number of notes (repeats
     included), once per call.
     [stats.(s)] is incremented by the number of product pairs visited at

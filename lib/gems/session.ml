@@ -147,12 +147,6 @@ let timed cell f =
       cell (Unix.gettimeofday () -. t0);
       raise e
 
-let params_for_check t =
-  (* Previously-set session parameters participate in type checking. *)
-  let m = Db.meta t.db in
-  ignore m;
-  []
-
 let parse t source =
   timed (fun d -> t.times.t_parse <- t.times.t_parse +. d) (fun () ->
       try Graql_lang.Parser.parse_script source
@@ -164,8 +158,7 @@ let check t source =
   let meta = Db.meta t.db in
   let diags =
     timed (fun d -> t.times.t_check <- t.times.t_check +. d) (fun () ->
-        Graql_analysis.Typecheck.check_script ~params:(params_for_check t) meta
-          ast)
+        Graql_analysis.Typecheck.check_script ~params:[] meta ast)
   in
   t.diags <- diags;
   diags
@@ -211,8 +204,7 @@ let checked_ast t source =
   let meta = Db.meta t.db in
   let diags =
     timed (fun d -> t.times.t_check <- t.times.t_check +. d) (fun () ->
-        Graql_analysis.Typecheck.check_script ~params:(params_for_check t) meta
-          ast)
+        Graql_analysis.Typecheck.check_script ~params:[] meta ast)
   in
   t.diags <- diags;
   if t.strict && Diag.has_errors diags then

@@ -211,7 +211,24 @@ let test_intern_many () =
   check_list "dense ids" (List.init 1000 Fun.id) ids;
   check "round trips" true
     (List.for_all (fun i -> Intern.lookup p i = string_of_int i)
-       (List.init 1000 Fun.id))
+       (List.init 1000 Fun.id));
+  (* Ingest's pattern: reserve a little more before each batch of interns;
+     ids and lookups stay stable across the growth. *)
+  let q = Intern.create () in
+  let ids =
+    List.init 1000 (fun i ->
+        if i mod 7 = 0 then Intern.reserve q (i + 3);
+        Intern.intern q (string_of_int i))
+  in
+  check_list "dense ids across reserves" (List.init 1000 Fun.id) ids;
+  check "stable across reserves" true
+    (List.for_all
+       (fun i ->
+         Intern.lookup q i = string_of_int i
+         && Intern.find_opt q (string_of_int i) = Some i
+         && Intern.intern q (string_of_int i) = i)
+       (List.init 1000 Fun.id));
+  check_int "no id added by re-interning" 1000 (Intern.size q)
 
 (* ------------------------------------------------------------------ *)
 (* Text_table                                                          *)
