@@ -216,8 +216,12 @@ let run_tasks t tasks =
        stitch into the submitting statement's trace, and the wait/run
        histograms carry its id as an exemplar. *)
     let trace = Graql_obs.Trace.current_trace () in
+    (* A spawned domain does not inherit backtrace recording, so a worker
+       records frames only when the submitter does. *)
+    let record = Printexc.backtrace_status () in
     let submitted = Unix.gettimeofday () in
     let wrap index task () =
+      Printexc.record_backtrace record;
       (try
          check_cancel t;
          let started = Unix.gettimeofday () in

@@ -111,29 +111,36 @@ let test_parallel_for_chunks_cover () =
 let[@inline never] deep_raiser () =
   if failwith "deep boom" then () else ()
 
+(* Whether the raising task ran on the worker or on the helping caller
+   is up to the scheduler, so the run is repeated until both have most
+   likely happened; the frame must survive every time. *)
 let test_worker_backtrace_preserved () =
   let prev = Printexc.backtrace_status () in
   Printexc.record_backtrace true;
   Fun.protect ~finally:(fun () -> Printexc.record_backtrace prev) @@ fun () ->
   with_pool ~domains:2 (fun pool ->
-      match
-        Pool.run_tasks pool
-          [ (fun () -> ()); (fun () -> deep_raiser ()); (fun () -> ()) ]
-      with
-      | () -> Alcotest.fail "expected exception"
-      | exception Failure msg ->
-          (* raise_with_backtrace carried the worker-side trace across the
-             latch: the raising frame is still visible here. Read it
-             before anything else runs and clobbers the buffer. *)
-          let bt = Printexc.get_backtrace () in
-          Alcotest.(check string) "message" "deep boom" msg;
-          check "origin frame survives the hop" true
-            (let needle = "deep_raiser" in
-             let nl = String.length needle and hl = String.length bt in
-             let rec go i =
-               i + nl <= hl && (String.sub bt i nl = needle || go (i + 1))
-             in
-             go 0))
+      for round = 1 to 50 do
+        match
+          Pool.run_tasks pool
+            [ (fun () -> ()); (fun () -> deep_raiser ()); (fun () -> ()) ]
+        with
+        | () -> Alcotest.fail "expected exception"
+        | exception Failure msg ->
+            (* raise_with_backtrace carried the worker-side trace across
+               the latch: the raising frame is still visible here. Read it
+               before anything else runs and clobbers the buffer. *)
+            let bt = Printexc.get_backtrace () in
+            Alcotest.(check string) "message" "deep boom" msg;
+            check
+              (Printf.sprintf "origin frame survives the hop (round %d)" round)
+              true
+              (let needle = "deep_raiser" in
+               let nl = String.length needle and hl = String.length bt in
+               let rec go i =
+                 i + nl <= hl && (String.sub bt i nl = needle || go (i + 1))
+               in
+               go 0)
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* Fault hook: retry with backoff, then exhaustion                     *)
