@@ -637,11 +637,13 @@ let build_graph db =
         | prior -> (
             let plan = plan_edge db store ed in
             (* An old row dropped for a key that named no vertex may name
-               one once its endpoint has grown; appending never revisits
+               one once that endpoint has grown; appending never revisits
                it. *)
-            let grew base =
-              Vset.size plan.xp_src > Csr.nvertices (Eset.forward base)
-              || Vset.size plan.xp_dst > Csr.nvertices (Eset.reverse base)
+            let missed_and_grew base =
+              (Eset.dropped_src base > 0
+              && Vset.size plan.xp_src > Csr.nvertices (Eset.forward base))
+              || Eset.dropped_dst base > 0
+                 && Vset.size plan.xp_dst > Csr.nvertices (Eset.reverse base)
             in
             match prior with
             | Some (base, pfp)
@@ -650,7 +652,7 @@ let build_graph db =
                    && Eset.dedupe base = plan.xp_dedupe
                    && (not (endpoint_built src_type))
                    && (not (endpoint_built dst_type))
-                   && not (grew base && Eset.dropped base > 0) ->
+                   && not (missed_and_grew base) ->
                 Metrics.incr m_appends;
                 view_span ~name ~mode:"append"
                   ~rows:(Table.nrows plan.xp_driving - Eset.rows_seen base)

@@ -116,7 +116,8 @@ let extend_edges ?pool base ~src ~dst ~src_key ~dst_key ?cond () =
   let srcs = Int_vec.create () and dsts = Int_vec.create () in
   let attr_rows = Int_vec.create () in
   let pair_level = Hashtbl.create (if dedupe then 256 else 1) in
-  let dropped = ref (Eset.dropped base) in
+  let dropped_src = ref (Eset.dropped_src base)
+  and dropped_dst = ref (Eset.dropped_dst base) in
   Array.iter
     (fun r ->
       match (src_key r, dst_key r) with
@@ -135,10 +136,11 @@ let extend_edges ?pool base ~src ~dst ~src_key ~dst_key ?cond () =
                 Int_vec.push dsts d;
                 Int_vec.push attr_rows r
               end
-          | _ ->
+          | s, d ->
               (* Endpoint filtered out of (or not yet in) the vertex view:
                  no edge. *)
-              incr dropped)
+              if s = None then incr dropped_src;
+              if d = None then incr dropped_dst)
       | _ -> () (* Null key: no edge *))
     rows;
   let attr_rows = Int_vec.to_array attr_rows in
@@ -149,7 +151,8 @@ let extend_edges ?pool base ~src ~dst ~src_key ~dst_key ?cond () =
   Eset.extend ?pool base ~n_src_vertices:(Vset.size src)
     ~n_dst_vertices:(Vset.size dst) ~src:(Int_vec.to_array srcs)
     ~dst:(Int_vec.to_array dsts) ~attr_rows ~pair_level
-    ~rows_seen:(Table.nrows driving) ~dropped:!dropped
+    ~rows_seen:(Table.nrows driving) ~dropped_src:!dropped_src
+    ~dropped_dst:!dropped_dst
 
 let build_edges ?pool ~name ~src ~dst ~driving ~src_key ~dst_key ?cond
     ?(dedupe = false) ?(keep_attrs = true) () =

@@ -42,9 +42,13 @@ val driving : t -> Table.t
 val rows_seen : t -> int
 (** Driving rows the view has turned into edges (or dropped). *)
 
-val dropped : t -> int
-(** Rows among those whose endpoint keys were not Null but named no
-    vertex. Such a row can gain its edge when an endpoint grows. *)
+val dropped_src : t -> int
+(** Rows among those whose src key was not Null but named no vertex. Such
+    a row can gain its edge when the src type grows. *)
+
+val dropped_dst : t -> int
+(** The same for the dst key. A row whose keys both missed counts in
+    both. *)
 
 val dedupe : t -> bool
 (** Whether duplicate (src, dst) pairs collapse to their first edge. *)
@@ -77,11 +81,12 @@ val extend :
   attr_rows:int array ->
   pair_level:(int, int) Hashtbl.t ->
   rows_seen:int ->
-  dropped:int ->
+  dropped_src:int ->
+  dropped_dst:int ->
   t
 (** A new view holding [t]'s edges followed by edges [size t + i] as
     [src.(i) -> dst.(i)], over endpoint types of the given sizes (no
-    smaller than before). [pair_level] binds the new edges' pair keys
-    (deduplicated views) and is taken over. Both CSRs are built again
-    over the concatenated edge arrays, on the pool when one is given; [t]
-    is left as it was. *)
+    smaller than before). [src], [dst], [attr_rows] and [pair_level]
+    are taken over. The edge arrays are shared with [t] ({!Backing}) and
+    both CSRs are appended to ({!Csr.append}), on the pool when one is
+    given; [t] reads as it did. *)

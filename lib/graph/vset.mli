@@ -61,8 +61,9 @@ val extend :
   t
 (** A new view holding [t]'s vertices followed by vertices [size t + i]
     with key tuple [keys.(i)] and attribute row [attr_rows.(i)].
-    [key_level] maps the new key strings to their ids and is taken over.
-    Existing ids keep their keys; [t] is left as it was. *)
+    [keys], [attr_rows] and [key_level] (the new key strings' ids) are
+    taken over. The arrays are shared with [t] ({!Backing}); existing ids
+    keep their keys, and [t] reads as it did. *)
 
 val key_of_values : Value.t array -> string
 (** The canonical hash key for a key tuple (shared with Builder). *)

@@ -61,6 +61,179 @@ let prop_csr_preserves_edges =
       done;
       Array.for_all Fun.id seen)
 
+(* Everything a reader sees of a CSR: per vertex its (dst, eid) entries
+   in iteration order and its degree, then the two counts. *)
+let csr_view csr =
+  ( Csr.nvertices csr,
+    Csr.nedges csr,
+    List.init (Csr.nvertices csr) (fun v ->
+        (Csr.degree csr v, Array.to_list (Csr.neighbors csr v))) )
+
+(* Edges [0, m) of arrays that may be longer, built from scratch. *)
+let csr_prefix ~nvertices ~src ~dst m =
+  Csr.build ~nvertices ~src:(Array.sub src 0 m) ~dst:(Array.sub dst 0 m) ()
+
+(* A base batch, then batches (0 edges included) that may grow both
+   vertex counts: small ones stay in the delta run, and the rest cross
+   the fold point. *)
+let gen_batches =
+  QCheck.(
+    pair (int_range 1 4)
+      (list_of_size (Gen.int_range 1 25)
+         (triple (int_bound 2) (int_bound 2)
+            (list_of_size
+               (Gen.frequency [ (6, Gen.int_bound 4); (1, Gen.int_bound 60) ])
+               (pair small_nat small_nat)))))
+
+let prop_append_chain =
+  QCheck.Test.make ~name:"append chain = build over the concatenation" ~count:300
+    gen_batches (fun (nv0, batches) ->
+      let cap = 1 + List.fold_left (fun a (_, _, es) -> a + List.length es) 0 batches in
+      (* Arrays with room past the edges, filled with ids no vertex has:
+         an append must read only edges [0, nedges). *)
+      let src = Array.make cap (-1) and dst = Array.make cap (-1) in
+      let empty = Csr.build ~nvertices:nv0 ~src:[||] ~dst:[||] () in
+      let _ =
+        List.fold_left
+          (fun (fwd, rev, ns, nd, m) (gs, gd, es) ->
+            let ns = ns + gs and nd = nd + gd in
+            List.iteri
+              (fun i (a, b) ->
+                src.(m + i) <- a mod ns;
+                dst.(m + i) <- b mod nd)
+              es;
+            let m = m + List.length es in
+            let fwd = Csr.append fwd ~nvertices:ns ~src ~dst ~nedges:m in
+            let rev = Csr.append rev ~nvertices:nd ~src:dst ~dst:src ~nedges:m in
+            if csr_view fwd <> csr_view (csr_prefix ~nvertices:ns ~src ~dst m) then
+              QCheck.Test.fail_reportf "forward differs at %d edges" m;
+            if csr_view rev <> csr_view (csr_prefix ~nvertices:nd ~src:dst ~dst:src m)
+            then QCheck.Test.fail_reportf "reverse differs at %d edges" m;
+            (fwd, rev, ns, nd, m))
+          (empty, empty, nv0, nv0, 0) batches
+      in
+      true)
+
+let test_append_out_of_range () =
+  let raises what f =
+    check what true (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  let src = Array.init 100 (fun i -> i mod 10) and dst = Array.make 100 0 in
+  let base = Csr.build ~nvertices:10 ~src ~dst () in
+  let grown = Array.append src [| 10 |] and neg = Array.append src [| -1 |] in
+  let dst' = Array.append dst [| 0 |] in
+  raises "delta: past the vertices" (fun () ->
+      Csr.append base ~nvertices:10 ~src:grown ~dst:dst' ~nedges:101);
+  raises "delta: negative" (fun () ->
+      Csr.append base ~nvertices:10 ~src:neg ~dst:dst' ~nedges:101);
+  let none = Csr.build ~nvertices:10 ~src:[||] ~dst:[||] () in
+  raises "fold: past the vertices" (fun () ->
+      Csr.append none ~nvertices:10 ~src:[| 10 |] ~dst:[| 0 |] ~nedges:1);
+  raises "fewer vertices" (fun () ->
+      Csr.append base ~nvertices:9 ~src ~dst ~nedges:100);
+  let grown_csr = Csr.append base ~nvertices:11 ~src:grown ~dst:dst' ~nedges:101 in
+  check_int "in range appends" 101 (Csr.nedges grown_csr);
+  List.iter
+    (fun (what, csr, v) ->
+      raises (what ^ ": degree") (fun () -> Csr.degree csr v);
+      raises (what ^ ": iter_neighbors") (fun () ->
+          Csr.iter_neighbors csr v (fun ~dst:_ ~eid:_ -> ())))
+    [ ("base, negative", base, -1); ("base, past the vertices", base, 10);
+      ("delta, negative", grown_csr, -1); ("delta, past the vertices", grown_csr, 11) ]
+
+(* Edge and vertex views over shared arrays: extending one version twice
+   (the second extension is not from the tip), and the tip again. *)
+let no_rows = Table.create ~name:"D" (Schema.make [ col "x" Dtype.Int ])
+
+let eset_extend e ~n edges =
+  let src = Array.of_list (List.map (fun (a, _) -> a mod n) edges) in
+  let dst = Array.of_list (List.map (fun (_, b) -> b mod n) edges) in
+  Eset.extend e ~n_src_vertices:n ~n_dst_vertices:n ~src ~dst
+    ~attr_rows:(Array.map (fun s -> s * 7) src)
+    ~pair_level:(Hashtbl.create 1) ~rows_seen:0 ~dropped_src:0 ~dropped_dst:0
+
+let eset_ok e ~n =
+  let m = Eset.size e in
+  let src = Array.init m (Eset.src e) and dst = Array.init m (Eset.dst e) in
+  Array.for_all2 (fun s r -> r = s * 7) src (Array.init m (Eset.attr_row e))
+  && csr_view (Eset.forward e) = csr_view (Csr.build ~nvertices:n ~src ~dst ())
+  && csr_view (Eset.reverse e) = csr_view (Csr.build ~nvertices:n ~src:dst ~dst:src ())
+
+let vset_extend v keys =
+  let base = Vset.size v in
+  let keys = Array.of_list (List.map (fun k -> [| vi k |]) keys) in
+  let level = Hashtbl.create 8 in
+  Array.iteri (fun i k -> Hashtbl.replace level (Vset.key_of_values k) (base + i)) keys;
+  Vset.extend v ~keys ~key_level:level ~attr_table:no_rows
+    ~attr_rows:(Array.mapi (fun i _ -> 3 * (base + i)) keys)
+    ~one_to_one:true ~rows_seen:0
+
+let vset_keys v = List.init (Vset.size v) (fun i -> (Vset.key_values v i, Vset.attr_row v i))
+
+let prop_extend_twice =
+  let edges = QCheck.(list_of_size (Gen.int_bound 40) (pair small_nat small_nat)) in
+  QCheck.Test.make ~name:"extending one version twice leaves every version whole"
+    ~count:200
+    QCheck.(quad (list_of_size (Gen.int_range 1 4) edges) edges edges edges)
+    (fun (chain, a, b, c) ->
+      let n = 12 in
+      let e0 = Eset.empty ~name:"e" ~src_type:"v" ~dst_type:"v" ~driving:no_rows
+          ~keep_attrs:false ~dedupe:false in
+      let base = List.fold_left (fun e es -> eset_extend e ~n es) e0 chain in
+      let e1 = eset_extend base ~n a in
+      let e2 = eset_extend base ~n b in
+      let e3 = eset_extend e1 ~n c in
+      let v0 = Vset.empty ~name:"v" ~key_schema:(Schema.make [ col "k" Dtype.Int ])
+          ~source_table:no_rows in
+      let key_run es off = List.mapi (fun i _ -> off + i) es in
+      let vbase = List.fold_left (fun v es -> vset_extend v (key_run es (Vset.size v))) v0 chain in
+      let vkeys = vset_keys vbase in
+      let v1 = vset_extend vbase (key_run a 1000) in
+      let v2 = vset_extend vbase (key_run b 2000) in
+      let v3 = vset_extend v1 (key_run c 3000) in
+      let prefix v = List.filteri (fun i _ -> i < Vset.size vbase) (vset_keys v) in
+      List.for_all (eset_ok ~n) [ base; e1; e2; e3 ]
+      && Eset.size e1 = Eset.size base + List.length a
+      && Eset.size e2 = Eset.size base + List.length b
+      && List.for_all (fun i -> Eset.src e2 (Eset.size base + i) = fst (List.nth b i) mod n)
+           (List.init (List.length b) Fun.id)
+      && vset_keys vbase = vkeys
+      && List.for_all (fun v -> prefix v = vkeys) [ v1; v2; v3 ]
+      && List.for_all
+           (fun (v, keys) ->
+             List.for_all
+               (fun k -> Vset.find_by_key v [ vi k ] <> None
+                         && Vset.key_values v (Option.get (Vset.find_by_key v [ vi k ])) = [| vi k |])
+               keys)
+           [ (v1, key_run a 1000); (v2, key_run b 2000); (v3, key_run a 1000 @ key_run c 3000) ])
+
+let test_ids_past_size () =
+  let raises what f =
+    check what true (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  let e0 = Eset.empty ~name:"e" ~src_type:"v" ~dst_type:"v" ~driving:no_rows
+      ~keep_attrs:false ~dedupe:false in
+  let ten = List.init 10 (fun i -> (i, i + 1)) in
+  let e1 = eset_extend e0 ~n:20 ten in
+  let e2 = eset_extend e1 ~n:20 [ (1, 2) ] in
+  (* e2's arrays have room for 20 edges; e3 writes past e2's size. *)
+  let _e3 = eset_extend e2 ~n:20 [ (3, 4) ] in
+  check_int "e2 size" 11 (Eset.size e2);
+  raises "Eset.src at size" (fun () -> Eset.src e2 11);
+  raises "Eset.dst at size" (fun () -> Eset.dst e2 11);
+  raises "Eset.attr_row at size" (fun () -> Eset.attr_row e2 11);
+  raises "Eset.src past the capacity" (fun () -> Eset.src e2 25);
+  raises "Eset.src negative" (fun () -> Eset.src e2 (-1));
+  let v0 = Vset.empty ~name:"v" ~key_schema:(Schema.make [ col "k" Dtype.Int ])
+      ~source_table:no_rows in
+  let v1 = vset_extend v0 (List.init 10 Fun.id) in
+  let v2 = vset_extend v1 [ 10 ] in
+  let _v3 = vset_extend v2 [ 11 ] in
+  check_int "v2 size" 11 (Vset.size v2);
+  raises "Vset.key_values at size" (fun () -> Vset.key_values v2 11);
+  raises "Vset.attr_row at size" (fun () -> Vset.attr_row v2 11);
+  check "v2 does not find v3's key" true (Vset.find_by_key v2 [ vi 11 ] = None)
+
 (* A pushed level joins the index; older indexes keep their bindings. *)
 let test_key_index () =
   let level l =
@@ -402,6 +575,11 @@ let () =
           Alcotest.test_case "isolated/empty" `Quick test_csr_isolated_and_empty;
           Alcotest.test_case "parallel edges" `Quick test_csr_parallel_edges;
           QCheck_alcotest.to_alcotest prop_csr_preserves_edges;
+          QCheck_alcotest.to_alcotest prop_append_chain;
+          Alcotest.test_case "append: vertex out of range" `Quick
+            test_append_out_of_range;
+          QCheck_alcotest.to_alcotest prop_extend_twice;
+          Alcotest.test_case "ids past a version's size" `Quick test_ids_past_size;
           Alcotest.test_case "key index levels" `Quick test_key_index;
         ] );
       ( "vertices",

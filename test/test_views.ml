@@ -72,8 +72,9 @@ let dump g =
   List.iter
     (fun name ->
       let e = Graph_store.find_eset_exn g name in
-      Printf.bprintf b "edge %s size=%d rows_seen=%d dropped=%d dedupe=%b\n"
-        name (Eset.size e) (Eset.rows_seen e) (Eset.dropped e) (Eset.dedupe e);
+      Printf.bprintf b "edge %s size=%d rows_seen=%d dropped=%d/%d dedupe=%b\n"
+        name (Eset.size e) (Eset.rows_seen e) (Eset.dropped_src e)
+        (Eset.dropped_dst e) (Eset.dedupe e);
       for i = 0 to Eset.size e - 1 do
         Printf.bprintf b "%d:%d>%d@%d " i (Eset.src e i) (Eset.dst e i)
           (Eset.attr_row e i)
@@ -495,6 +496,41 @@ let test_counters () =
   check_int "DDL: appends" 0 a;
   check_int "DDL: one full build, the new view" 1 f
 
+(* A review naming a person no PersonVtx has drops its reviewer edge on
+   the dst side. Later reviews grow ReviewVtx, the src side, which cannot
+   revive that row: reviewer is appended to, not built from row 0, and
+   still equals a full rebuild. Growing PersonVtx would revive it. *)
+let test_dst_misses_src_grows () =
+  let review id person =
+    Printf.sprintf
+      "id,type,reviewFor,reviewer,reviewDate,title,text,ratings_1,ratings_2,ratings_3,ratings_4,publisher,date\n\
+       %s,Review,p0,%s,2008-01-01,t,x,1,2,3,4,pub0,2008-01-02\n"
+      id person
+  in
+  let kept = session () and fresh = session () in
+  List.iter (fun s -> Berlin_gen.ingest_all ~scale:1 s) [ kept; fresh ];
+  let ingest doc =
+    List.iter (fun s -> run_ok ~loader:(fun _ -> doc) s "ingest table Reviews r.csv")
+      [ kept; fresh ]
+  in
+  ignore (Db.graph (Session.db kept));
+  ingest (review "x0000001" "u9999999");
+  ignore (Db.graph (Session.db kept));
+  let reviewer () =
+    Graph_store.find_eset_exn (Db.graph (Session.db kept)) "reviewer"
+  in
+  check_int "the dangling reviewer is a dst miss" 1 (Eset.dropped_dst (reviewer ()));
+  check_int "and no src miss" 0 (Eset.dropped_src (reviewer ()));
+  for i = 2 to 6 do
+    ingest (review (Printf.sprintf "x%07d" i) "u0");
+    let a, f = counts (fun () -> ignore (Db.graph (Session.db kept))) in
+    check_int (Printf.sprintf "ingest %d: appends (ReviewVtx, reviewFor, reviewer)" i) 3 a;
+    check_int (Printf.sprintf "ingest %d: full builds" i) 0 f
+  done;
+  check_str "maintained = full rebuild"
+    (dump (full_rebuild (Session.db fresh)))
+    (dump (Db.graph (Session.db kept)))
+
 (* The replaced graph is released once its successor is built. *)
 let test_last_built_released () =
   let s = session () in
@@ -538,6 +574,8 @@ let () =
           Alcotest.test_case "edge driven by a many-to-one type" `Quick
             test_many_to_one_driver;
           Alcotest.test_case "maintenance counters" `Quick test_counters;
+          Alcotest.test_case "dst misses while src grows: appends" `Quick
+            test_dst_misses_src_grows;
           Alcotest.test_case "replaced graph released" `Quick
             test_last_built_released;
         ] );
