@@ -279,7 +279,10 @@ let run_tasks t tasks =
     Mutex.unlock latch.lmutex;
     match err with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ()
+    | None ->
+        (* A task that cancels may run last, after the others have
+           already passed their check: observe the token once more. *)
+        check_cancel t
   end
 
 let chunks ?chunk t ~lo ~hi =

@@ -185,21 +185,37 @@ let test_fault_hook_sees_labels () =
 (* ------------------------------------------------------------------ *)
 (* Cooperative cancellation                                            *)
 
+(* Task 0 cancels on the calling domain after the other 63 are queued,
+   and the worker may drain all of them first. Every other round forces
+   that order (task 0 waits, for up to a second, until the rest have
+   run), so a pool that checks the token only when a task starts fails
+   here every time rather than once in a while. *)
 let test_cancel_stops_chunks () =
   with_pool ~domains:2 (fun pool ->
-      let token = Cancel.create () in
-      Pool.set_cancel pool (Some token);
-      let done_count = Atomic.make 0 in
-      (match
-         Pool.run_tasks pool
-           (List.init 64 (fun i () ->
-                if i = 0 then Cancel.cancel token
-                else Atomic.incr done_count))
-       with
-      | () -> Alcotest.fail "expected cancellation"
-      | exception Cancel.Cancelled _ -> ());
-      (* Some tasks may have run before the flag flipped, but not all. *)
-      check "later chunks skipped" true (Atomic.get done_count < 64);
+      for round = 1 to 100 do
+        let token = Cancel.create () in
+        Pool.set_cancel pool (Some token);
+        let done_count = Atomic.make 0 in
+        let cancel_last () =
+          let give_up = Unix.gettimeofday () +. 1.0 in
+          while Atomic.get done_count < 63 && Unix.gettimeofday () < give_up do
+            Unix.sleepf 0.0001
+          done
+        in
+        (match
+           Pool.run_tasks pool
+             (List.init 64 (fun i () ->
+                  if i = 0 then begin
+                    if round mod 2 = 0 then cancel_last ();
+                    Cancel.cancel token
+                  end
+                  else Atomic.incr done_count))
+         with
+        | () -> Alcotest.failf "round %d: expected cancellation" round
+        | exception Cancel.Cancelled _ -> ());
+        (* Some tasks may have run before the flag flipped, but not all. *)
+        check "later chunks skipped" true (Atomic.get done_count < 64)
+      done;
       Pool.set_cancel pool None)
 
 let test_deadline_token_expires () =
