@@ -30,6 +30,7 @@ type t = {
 
 let norm = String.lowercase_ascii
 let create () = { entities = Hashtbl.create 32; order = [] }
+let copy t = { entities = Hashtbl.copy t.entities; order = t.order }
 
 let add t name entity =
   let key = norm name in

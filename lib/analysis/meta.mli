@@ -31,6 +31,10 @@ type entity =
 type t
 
 val create : unit -> t
+
+val copy : t -> t
+(** An independent copy: adding to it leaves the original as it was. *)
+
 val add_table : t -> string -> Schema.t -> unit
 val add_vertex : t -> vertex_meta -> unit
 val add_edge : t -> edge_meta -> unit

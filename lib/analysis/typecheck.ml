@@ -1141,9 +1141,16 @@ let check_stmt_inner ctx stmt =
   | Ast.Select_graph sg -> check_select_graph ctx sg
   | Ast.Select_table st -> check_select_table ctx st
 
+(* The checker registers a script's own definitions as it goes; it does
+   so in a copy, since the caller's [meta] may be a shared snapshot. *)
 let make_ctx ?(params = []) meta =
   let ctx =
-    { meta; params = Hashtbl.create 8; untyped = Hashtbl.create 8; diags = [] }
+    {
+      meta = Meta.copy meta;
+      params = Hashtbl.create 8;
+      untyped = Hashtbl.create 8;
+      diags = [];
+    }
   in
   List.iter
     (fun (name, lit) ->

@@ -19,8 +19,9 @@ val check_script :
   Graql_lang.Ast.script ->
   Diag.t list
 (** Checks statements in order, registering each statement's definitions
-    into [meta] so later statements see them (the paper's scripts are
-    DDL-then-query). Diagnostics come back in source order. *)
+    so later statements see them (the paper's scripts are DDL-then-query).
+    The definitions go into a copy: [meta] itself is left as it was.
+    Diagnostics come back in source order. *)
 
 val check_stmt :
   ?params:(string * Graql_lang.Ast.lit) list ->

@@ -53,6 +53,14 @@ type t = {
   (* Durability sink: when set, Script_exec logs every mutating statement
      here (fsync'd) before applying it. None = in-memory database. *)
   mutable wal : Wal.t option;
+  (* Catalog generation: bumped by every mutator that can change what
+     [meta] reports, so [meta] rebuilds its snapshot at most once per
+     change. Not [rw_epoch]: in-process sessions and recovery mutate
+     without taking [write_locked]. *)
+  stamp : int Atomic.t;
+  meta_cache : (int * Meta.t) option Atomic.t;
+  (* The path universe of [built], made on first use after a build. *)
+  universe : (Graph_store.t * Pack.universe) option Atomic.t;
   mutex : Mutex.t;
   (* Reader-writer epoch (serve-layer concurrency): read-only statements
      hold the shared side and pin the epoch for their lifetime; mutating
@@ -82,6 +90,9 @@ let create ?pool () =
     params = Hashtbl.create 8;
     pool;
     wal = None;
+    stamp = Atomic.make 0;
+    meta_cache = Atomic.make None;
+    universe = Atomic.make None;
     mutex = Mutex.create ();
     rw_mu = Mutex.create ();
     rw_cv = Condition.create ();
@@ -95,13 +106,21 @@ let pool t = t.pool
 let wal t = t.wal
 let set_wal t w = t.wal <- w
 let tables t = t.tables
-let add_table t table = Table_catalog.add t.tables table
+let bump t = Atomic.incr t.stamp
+
+let add_table t table =
+  Table_catalog.add t.tables table;
+  bump t
+
 let find_table t name = Table_catalog.find t.tables name
 let find_table_exn t name = Table_catalog.find_exn t.tables name
 
 let invalidate_graph t =
   (match t.built with Some g -> t.last_built <- Some g | None -> ());
-  t.built <- None
+  t.built <- None;
+  (* Let the replaced graph go once its successor is built. *)
+  Atomic.set t.universe None;
+  bump t
 
 let last_built t = t.last_built
 let view_fingerprints t = t.view_fingerprints
@@ -131,7 +150,19 @@ let graph t =
           t.built <- Some g;
           (* Release the replaced views; a build that raised kept them. *)
           t.last_built <- None;
+          (* After [built] is set: a [meta] that reads the new stamp sees
+             the built views. *)
+          bump t;
           g)
+
+let universe t =
+  let g = graph t in
+  match Atomic.get t.universe with
+  | Some (g', u) when g' == g -> u
+  | _ ->
+      let u = Pack.universe g in
+      Atomic.set t.universe (Some (g, u));
+      u
 
 let norm = String.lowercase_ascii
 
@@ -139,7 +170,8 @@ let add_subgraph t sg =
   let key = norm (Subgraph.name sg) in
   if not (Hashtbl.mem t.subgraphs key) then
     t.subgraph_order <- key :: t.subgraph_order;
-  Hashtbl.replace t.subgraphs key sg
+  Hashtbl.replace t.subgraphs key sg;
+  bump t
 
 let find_subgraph t name = Hashtbl.find_opt t.subgraphs (norm name)
 
@@ -200,9 +232,10 @@ let view_reads t name =
 
 let register_result_table t table =
   Table_catalog.replace t.tables table;
+  bump t;
   if view_reads t (Table.name table) then invalidate_graph t
 
-let meta t =
+let build_meta t =
   let m = Meta.create () in
   List.iter
     (fun name ->
@@ -282,6 +315,18 @@ let meta t =
       Meta.add_subgraph m sgname (Subgraph.vtypes sg))
     (subgraph_names t);
   m
+
+(* Readers that race here build the same snapshot, so either store wins.
+   The stamp is read before the state it describes: a change that lands
+   meanwhile leaves the stored stamp behind, never ahead. *)
+let meta t =
+  let stamp = Atomic.get t.stamp in
+  match Atomic.get t.meta_cache with
+  | Some (s, m) when s = stamp -> m
+  | _ ->
+      let m = build_meta t in
+      Atomic.set t.meta_cache (Some (stamp, m));
+      m
 
 let lock t f =
   Mutex.lock t.mutex;

@@ -93,6 +93,10 @@ val graph : t -> Graql_graph.Graph_store.t
 
 val set_builder : t -> (t -> Graql_graph.Graph_store.t) -> unit
 
+val universe : t -> Pack.universe
+(** The path executor's type registry over {!graph}, made on first use
+    after each build and shared until the next one. *)
+
 val add_subgraph : t -> Graql_graph.Subgraph.t -> unit
 val find_subgraph : t -> string -> Graql_graph.Subgraph.t option
 val subgraph_names : t -> string list
@@ -114,7 +118,11 @@ val register_result_table : t -> Table.t -> unit
 
 val meta : t -> Graql_analysis.Meta.t
 (** Metadata snapshot of the current state, with sizes — what the GEMS
-    front-end catalog would serve. *)
+    front-end catalog would serve. The snapshot is built at most once per
+    catalog change (every mutator above, and a graph build, bumps a
+    generation stamp) and shared by every caller until the next one, so
+    callers must not modify it: {!Graql_analysis.Typecheck} works on a
+    copy. *)
 
 val lock : t -> (unit -> 'a) -> 'a
 (** Serialize result registration during parallel statement execution. *)

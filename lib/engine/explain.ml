@@ -202,7 +202,7 @@ let regex_state_steps u ~incoming (xr : Path_exec.xregex) =
       })
 
 let explain_path ~db ~params ?(edges_needed = true) (p : Ast.path) =
-  let u = Pack.universe (Db.graph db) in
+  let u = Db.universe db in
   let plan = Path_exec.plan_path ~db ~params ~edges_needed p in
   let direction = if plan.Path_exec.px_reversed then `Backward else `Forward in
   let head = plan.Path_exec.px_head in

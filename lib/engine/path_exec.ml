@@ -876,7 +876,7 @@ let direction ~u ~edges_needed (p : Ast.path) ~db ~params =
     if tail_est < head_est then `Backward else `Forward
 
 let chosen_direction ?(edges_needed = true) (p : Ast.path) ~db ~params =
-  direction ~u:(Pack.universe (Db.graph db)) ~edges_needed p ~db ~params
+  direction ~u:(Db.universe db) ~edges_needed p ~db ~params
 
 let plan ~u ~db ~params ~auto_reverse ~edges_needed (p : Ast.path) : path_plan =
   let reversed =
@@ -968,7 +968,7 @@ let plan ~u ~db ~params ~auto_reverse ~edges_needed (p : Ast.path) : path_plan =
 
 
 let plan_path ~db ~params ?(auto_reverse = true) ?(edges_needed = true) p =
-  plan ~u:(Pack.universe (Db.graph db)) ~db ~params ~auto_reverse ~edges_needed p
+  plan ~u:(Db.universe db) ~db ~params ~auto_reverse ~edges_needed p
 
 (* [path.*] counters count frontier rows and steps, which are fixed by
    the query and data — invariant across domain counts. *)
@@ -1153,7 +1153,7 @@ let mp_loc = function
 
 let run ~db ~params ~mode ?(auto_reverse = true) ?(edges_needed = true)
     ?(max_bytes = default_max_bytes) mp =
-  let u = Pack.universe (Db.graph db) in
+  let u = Db.universe db in
   let regex_edges = Array.make (Array.length u.Pack.etypes) None in
   let rec go env = function
     | Ast.M_path p ->

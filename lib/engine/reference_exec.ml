@@ -15,7 +15,7 @@ type label_info = { li_pos : int (* vstep index *); li_each : bool }
 type result = { tuples : int array list; edges : int list }
 
 let run_path ~db ~params (p : Ast.path) =
-  let u = Pack.universe (Db.graph db) in
+  let u = Db.universe db in
   let labels : (string, label_info) Hashtbl.t = Hashtbl.create 4 in
   let no_slots = { Step_cond.find_slot = (fun _ -> None) } in
   (* Packed cells of the regex-traversed edges. *)

@@ -294,6 +294,38 @@ let test_select_targets_checked () =
         into subgraph G|}
     "not a step of this query"
 
+(* A database's snapshot is shared by every statement checked against it:
+   the checker registers a script's own definitions in a copy, so checking
+   the same script twice gives the same answer and leaves the snapshot as
+   it was. *)
+let test_check_leaves_snapshot () =
+  let module Db = Graql_engine.Db in
+  let db = Db.create () in
+  Graql_engine.Ddl_exec.install db;
+  ignore (Graql_engine.Script_exec.exec_script db (Parser.parse_script base_ddl));
+  let meta = Db.meta db in
+  let before = Meta.names meta in
+  let script =
+    Parser.parse_script
+      {|
+create table Shops(id varchar(10), product varchar(10))
+create vertex ShopVtx(id) from table Shops
+create edge sells with vertices (ShopVtx, ProductVtx)
+  where ShopVtx.product = ProductVtx.id
+select id, product from table Shops into table ShopCopy
+select * from graph ShopVtx --sells--> ProductVtx into subgraph Sold
+select s.id from table ShopCopy as s
+|}
+  in
+  let render diags = List.map Diag.to_string diags in
+  let first = render (Typecheck.check_script meta script) in
+  let second = render (Typecheck.check_script meta script) in
+  Alcotest.(check (list string)) "first check is clean" [] first;
+  Alcotest.(check (list string)) "same diagnostics twice" first second;
+  Alcotest.(check (list string)) "snapshot names unchanged" before
+    (Meta.names meta);
+  check "the snapshot is still the database's" true (Db.meta db == meta)
+
 let () =
   Alcotest.run "analysis"
     [
@@ -341,5 +373,7 @@ let () =
           Alcotest.test_case "result tables flow" `Quick test_result_registration_flows;
           Alcotest.test_case "subgraph seeds" `Quick test_subgraph_seed_checked;
           Alcotest.test_case "select targets" `Quick test_select_targets_checked;
+          Alcotest.test_case "checking leaves the snapshot" `Quick
+            test_check_leaves_snapshot;
         ] );
     ]

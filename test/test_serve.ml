@@ -560,6 +560,54 @@ let test_concurrent_reads_during_writes () =
       check_bool "writes advanced the epoch" true (epoch >= 11)
   | _ -> Alcotest.fail "final select: expected Ok"
 
+(* The server type-checks against one shared catalog snapshot. When one
+   connection changes the catalog (DDL, an ingest, a result table), the
+   next statement on another connection must see the change: it
+   type-checks and returns what an in-process session returns. *)
+let test_no_stale_snapshot () =
+  with_temp_dir @@ fun base ->
+  let csv = Filename.concat base "items.csv" in
+  write_file csv "id,grp\ni1,x\ni2,y\ni3,x\n";
+  let writes =
+    [
+      "create table Item(id varchar(8), grp varchar(8))";
+      "create vertex ItemVtx(id) from table Item";
+      Printf.sprintf "ingest table Item '%s'" csv;
+      "select id, grp from table Item where grp = 'x' into table R";
+    ]
+  in
+  let reads =
+    [ "select id from table R"; "select ItemVtx.id from graph ItemVtx ( )" ]
+  in
+  let expected =
+    let s = Session.create () in
+    List.iter (fun w -> ignore (Session.run_script s w)) writes;
+    List.map
+      (fun r ->
+        match Session.run_script s r with
+        | [ (_, Graql_engine.Script_exec.O_table tb) ] ->
+            Graql_storage.Table.to_display_string tb
+        | _ -> Alcotest.failf "in-process %S: expected a table" r)
+      reads
+  in
+  with_server ~config:Serve.default_config @@ fun _server sv ->
+  let port = Serve.port sv in
+  let a = Client.connect ~port ~user:"admin" () in
+  let b = Client.connect ~port ~user:"analyst" () in
+  Fun.protect ~finally:(fun () -> Client.close a; Client.close b) @@ fun () ->
+  (* B reads first, so a snapshot of the old catalog is in place. *)
+  ignore (expect_ok "seed" (Client.run a "create table Seed(id integer)"));
+  ignore (expect_ok "seed read" (Client.run b "select id from table Seed"));
+  List.iter (fun w -> ignore (expect_ok w (Client.run a w))) writes;
+  List.iter2
+    (fun r want ->
+      match expect_ok r (Client.run b r) with
+      | _, _, [ o ] ->
+          check_bool (r ^ ": a table") true (o.Proto.ro_kind = Proto.K_table);
+          check_str (r ^ ": in-process rows") want o.Proto.ro_text
+      | _ -> Alcotest.failf "%s: one outcome expected" r)
+    reads expected
+
 (* ====================================================================
    Graceful drain: acknowledged writes survive the WAL close
    ==================================================================== *)
@@ -1063,6 +1111,8 @@ let () =
             test_deadline_reaping;
           Alcotest.test_case "reads run concurrently with writes" `Quick
             test_concurrent_reads_during_writes;
+          Alcotest.test_case "no stale catalog across connections" `Quick
+            test_no_stale_snapshot;
         ] );
       ( "drain",
         [

@@ -542,6 +542,102 @@ let test_last_built_released () =
   ignore (Db.graph db);
   check "released after the build" true (Db.last_built db = None)
 
+(* ---------- the catalog snapshot ---------- *)
+
+module Meta = Graql_analysis.Meta
+
+(* Every entity of a snapshot, in declaration order, sizes included. *)
+let render_meta m =
+  let schema = Format.asprintf "%a" Schema.pp in
+  let size = function Some n -> string_of_int n | None -> "?" in
+  String.concat "\n"
+    (List.map
+       (fun name ->
+         name ^ ": "
+         ^
+         match Meta.find m name with
+         | Some (Meta.M_table (s, n)) -> "table " ^ schema s ^ " " ^ size n
+         | Some (Meta.M_vertex vm) ->
+             Printf.sprintf "vertex %s key %s attrs %s from %s %s"
+               vm.Meta.vm_name (schema vm.Meta.vm_key) (schema vm.Meta.vm_attrs)
+               vm.Meta.vm_source (size vm.Meta.vm_size)
+         | Some (Meta.M_edge em) ->
+             Printf.sprintf "edge %s %s -> %s attrs %s %s" em.Meta.em_name
+               em.Meta.em_src em.Meta.em_dst
+               (Option.fold ~none:"-" ~some:schema em.Meta.em_attrs)
+               (size em.Meta.em_size)
+         | Some (Meta.M_subgraph vs) -> "subgraph " ^ String.concat "," vs
+         | None -> "missing")
+       (Meta.names m))
+
+(* One statement per catalog mutator: tables, view definitions, ingests
+   (each followed by a graph select that builds the views), a stored
+   subgraph over built views, a new and a replaced result table, a
+   replaced table a view reads, and a [set] a view reads. *)
+let snapshot_script =
+  [
+    "create table T(id varchar(4), x int)";
+    "create table U(id varchar(4), t varchar(4))";
+    "set %Min% = 0";
+    "create vertex V(id) from table T where x > %Min%";
+    "create vertex W(id) from table U";
+    "create edge e with vertices (W, V) where W.t = V.id";
+    "ingest table T t.csv";
+    "select V.id from graph V ( )";
+    "ingest table U u.csv";
+    "select V.id from graph V ( )";
+    "select * from graph W --e--> V into subgraph S";
+    "select id, x from table T where x > 1 into table R";
+    "select id from table R where x > 2 into table R";
+    "select id, x from table T where x > 1 into table T";
+    "set %Min% = 2";
+  ]
+
+let snapshot_loader = function
+  | "t.csv" -> "id,x\na,1\nb,2\nc,3\nd,4\n"
+  | "u.csv" -> "id,t\nu1,a\nu2,c\nu3,d\n"
+  | f -> failwith f
+
+(* The reference runs the executor alone: nothing reads [Db.meta] before
+   the snapshot under comparison, so it cannot be a stale one. *)
+let fresh_meta stmts =
+  let db = Db.create ~pool:(Lazy.force default_pool) () in
+  Ddl_exec.install db;
+  List.iter
+    (fun stmt ->
+      match
+        Script_exec.exec_script ~loader:snapshot_loader db
+          (Graql_lang.Parser.parse_script stmt)
+      with
+      | [ (_, Script_exec.O_failed e) ] ->
+          Alcotest.failf "%s: %s" stmt (Graql_error.to_string e)
+      | _ -> ())
+    stmts;
+  render_meta (Db.meta db)
+
+(* A live session reads [Db.meta] (to type-check) before every statement
+   and again after it; each snapshot must equal that of a database that
+   ran the same prefix from scratch, and so must a WAL-recovered one. *)
+let test_snapshot_fresh () =
+  with_temp_dir @@ fun dir ->
+  let s = session ~durability:(Session.Wal_dir dir) () in
+  let db = Session.db s in
+  check_str "empty" (fresh_meta []) (render_meta (Db.meta db));
+  List.iteri
+    (fun i stmt ->
+      run_ok ~loader:snapshot_loader s stmt;
+      check_str stmt
+        (fresh_meta (List.filteri (fun j _ -> j <= i) snapshot_script))
+        (render_meta (Db.meta db)))
+    snapshot_script;
+  Session.close s;
+  let recovered = Db.create ~pool:(Lazy.force default_pool) () in
+  Ddl_exec.install recovered;
+  ignore (Db.meta recovered);
+  ignore (Db_io.recover recovered ~dir);
+  check_str "after WAL recovery" (fresh_meta snapshot_script)
+    (render_meta (Db.meta recovered))
+
 let () =
   let steps = 30 in
   Alcotest.run "views"
@@ -578,5 +674,10 @@ let () =
             test_dst_misses_src_grows;
           Alcotest.test_case "replaced graph released" `Quick
             test_last_built_released;
+        ] );
+      ( "catalog snapshot",
+        [
+          Alcotest.test_case "fresh after every mutation" `Quick
+            test_snapshot_fresh;
         ] );
     ]
