@@ -1,7 +1,7 @@
 (* Benchmark harness: regenerates every figure and table of the paper
    (see DESIGN.md's per-experiment index) plus the Sec. III performance
    machinery (planner direction ablation, multi-statement scheduling,
-   shard-parallel backend scaling).
+   domain-parallel backend scaling).
 
    Two kinds of output:
    - bechamel micro-benchmarks, one Test.make per paper artifact;
@@ -426,90 +426,6 @@ let sweep_script_parallel () =
        ~header:[ "domains"; "serial(ms)"; "scheduled(ms)"; "speedup" ]
        rows)
 
-let sweep_shards () =
-  print_endline "\n== shard-parallel backend scan (GEMS substrate) ==";
-  let scale = 64 in
-  let s = make_session ~scale () in
-  let offers = Graql.Db.find_table_exn (Graql.Session.db s) "Offers" in
-  let pred =
-    Graql.Row_expr.(
-      And
-        ( Cmp (Gt, Col 4, Const (Graql.Value.Float 5000.0)),
-          Cmp (Lt, Col 7, Const (Graql.Value.Int 7)) ))
-  in
-  let pool = Graql.Domain_pool.create () in
-  let base = ref 0.0 in
-  let rows =
-    List.map
-      (fun shards ->
-        let backend = Graql.Shard.create ~shards pool in
-        let t =
-          time_best ~reps:5 (fun () ->
-              ignore (Graql.Shard.parallel_select backend offers pred))
-        in
-        if shards = 1 then base := t;
-        [
-          string_of_int shards;
-          Printf.sprintf "%.3f" (t *. 1000.0);
-          Printf.sprintf "%.2fx" (!base /. t);
-        ])
-      [ 1; 2; 4; 8 ]
-  in
-  Graql.Domain_pool.shutdown pool;
-  print_endline
-    (Graql_util.Text_table.render
-       ~header:[ "shards"; "scan(ms)"; "speedup" ]
-       rows)
-
-(* Cost of the recovery layer: the same sharded scan fault-free, with the
-   retry machinery armed but idle, and with every shard failing its first
-   attempt (fail-once plan -> one backoff+retry per shard). Results must
-   be byte-identical across all three. *)
-let sweep_fault_recovery () =
-  print_endline "\n== fault recovery overhead (fail-once on every shard) ==";
-  let scale = 64 in
-  let s = make_session ~scale () in
-  let offers = Graql.Db.find_table_exn (Graql.Session.db s) "Offers" in
-  let pred =
-    Graql.Row_expr.(
-      And
-        ( Cmp (Gt, Col 4, Const (Graql.Value.Float 5000.0)),
-          Cmp (Lt, Col 7, Const (Graql.Value.Int 7)) ))
-  in
-  let pool = Graql.Domain_pool.create () in
-  let rows =
-    List.map
-      (fun shards ->
-        let clean = Graql.Shard.create ~shards pool in
-        let faulty =
-          Graql.Shard.create ~shards ~replicas:2
-            ~faults:(Graql.Fault.fail_once ()) ~backoff_ms:0.0 pool
-        in
-        let expect = Graql.Shard.parallel_select clean offers pred in
-        let got = Graql.Shard.parallel_select faulty offers pred in
-        assert (expect = got);
-        let t_clean =
-          time_best ~reps:5 (fun () ->
-              ignore (Graql.Shard.parallel_select clean offers pred))
-        in
-        let t_faulty =
-          time_best ~reps:5 (fun () ->
-              ignore (Graql.Shard.parallel_select faulty offers pred))
-        in
-        [
-          string_of_int shards;
-          Printf.sprintf "%.3f" (t_clean *. 1000.0);
-          Printf.sprintf "%.3f" (t_faulty *. 1000.0);
-          string_of_int (Graql.Shard.retries faulty);
-        ])
-      [ 1; 2; 4; 8 ]
-  in
-  Graql.Domain_pool.shutdown pool;
-  print_endline
-    (Graql_util.Text_table.render
-       ~header:[ "shards"; "clean(ms)"; "recovered(ms)"; "retries" ]
-       rows)
-
 (* Durability costs (DESIGN.md §9): run the Berlin ingest under a
    write-ahead log, then time cold recovery (full-log replay into a fresh
    database), the checkpoint fold, and restart-from-snapshot. Also the
@@ -906,13 +822,8 @@ let sweep_scan ?(json = false) () =
   end;
   entries
 
-(* Wire-server capacity (DESIGN.md §14): concurrent clients hammer one
-   read-only statement over the TCP protocol, sweeping the client count
-   through and past the admission capacity. Reported per client count:
-   delivered throughput, p99 statement latency, and the shed rate; a
-   final row overloads a deliberately small server at 2x its admission
-   capacity to measure how much traffic the controller sheds to protect
-   the rest. Backing data for BENCH_serve.json (--json mode). *)
+(* A Berlin server at the bench scale with one analyst account: the
+   wire-protocol target of sweep_obs's traced-serve row. *)
 let serve_bench_server () =
   let server = Graql.Server.create () in
   let session = Graql.Server.session server in
@@ -920,123 +831,6 @@ let serve_bench_server () =
   let _ = Graql.Db.graph (Graql.Session.db session) in
   Graql.Server.add_user server ~name:"bench" ~role:Graql.Server.Analyst;
   server
-
-let serve_bench_clients ~port ~clients ~per_client ir =
-  let lats = Array.make clients [||] in
-  let sheds = Atomic.make 0 in
-  let t0 = Unix.gettimeofday () in
-  let doms =
-    List.init clients (fun ci ->
-        Domain.spawn (fun () ->
-            let c = Graql.Client.connect ~port ~user:"bench" () in
-            Fun.protect ~finally:(fun () -> Graql.Client.close c) @@ fun () ->
-            let mine = Array.make per_client nan in
-            let completed = ref 0 in
-            for _ = 1 to per_client do
-              let s = Unix.gettimeofday () in
-              match Graql.Client.run_ir c ir with
-              | Graql.Client.Ok _ ->
-                  mine.(!completed) <- Unix.gettimeofday () -. s;
-                  incr completed
-              | Graql.Client.Shed _ ->
-                  Atomic.incr sheds;
-                  Unix.sleepf 0.001
-              | Graql.Client.Failed { msg; _ } -> failwith msg
-              | Graql.Client.Closing _ -> ()
-            done;
-            lats.(ci) <- Array.sub mine 0 !completed))
-  in
-  List.iter Domain.join doms;
-  let wall = Unix.gettimeofday () -. t0 in
-  let all = Array.concat (Array.to_list lats) in
-  Array.sort compare all;
-  let n = Array.length all in
-  let p99 = if n = 0 then nan else all.(min (n - 1) (n * 99 / 100)) in
-  let sheds = Atomic.get sheds in
-  let shed_rate =
-    if n + sheds = 0 then 0.0
-    else float_of_int sheds /. float_of_int (n + sheds)
-  in
-  (float_of_int n /. wall, p99, shed_rate)
-
-let sweep_serve ?(json = false) () =
-  print_endline
-    "\n== wire server: throughput / p99 / shed rate vs concurrent clients ==";
-  let ir =
-    Graql.Ir.encode_script
-      (Graql.Parser.parse_script
-         "select vendor, count(*) as n from table Offers group by vendor")
-  in
-  let per_client = 150 in
-  let entries = ref [] in
-  let bench ~mode ~config clients =
-    let server = serve_bench_server () in
-    let sv = Graql.Serve.start ~config server in
-    let result =
-      Fun.protect
-        ~finally:(fun () ->
-          Graql.Serve.stop sv;
-          Graql.Session.close (Graql.Server.session server))
-        (fun () ->
-          (* Warm the path (connection setup, first typecheck) off the
-             clock. *)
-          ignore
-            (serve_bench_clients ~port:(Graql.Serve.port sv) ~clients:1
-               ~per_client:10 ir);
-          serve_bench_clients ~port:(Graql.Serve.port sv) ~clients ~per_client
-            ir)
-    in
-    let tput, p99, shed_rate = result in
-    entries := (mode, clients, tput, p99, shed_rate) :: !entries;
-    [
-      mode;
-      string_of_int clients;
-      Printf.sprintf "%.0f" tput;
-      Printf.sprintf "%.2f" (p99 *. 1000.0);
-      Printf.sprintf "%.0f%%" (shed_rate *. 100.0);
-    ]
-  in
-  let rows =
-    List.map
-      (fun clients -> bench ~mode:"normal" ~config:Graql.Serve.default_config clients)
-      [ 1; 2; 4; 8 ]
-  in
-  (* 2x saturation: capacity 2 in-flight + 2 queued, 8 clients. *)
-  let overload_cfg =
-    {
-      Graql.Serve.default_config with
-      Graql.Serve.max_inflight = 2;
-      max_queue = 2;
-      queue_wait_ms = 20;
-      retry_after_ms = 1;
-    }
-  in
-  let rows = rows @ [ bench ~mode:"overload" ~config:overload_cfg 8 ] in
-  print_endline
-    (Graql_util.Text_table.render
-       ~header:[ "mode"; "clients"; "stmt/s"; "p99(ms)"; "shed" ]
-       rows);
-  let entries = List.rev !entries in
-  if json then begin
-    let buf = Buffer.create 512 in
-    Buffer.add_string buf "[\n";
-    List.iteri
-      (fun i (mode, clients, tput, p99, shed_rate) ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        Buffer.add_string buf
-          (Printf.sprintf
-             "  {\"name\": \"serve\", \"mode\": %S, \"clients\": %d, \
-              \"throughput_stmt_per_s\": %.1f, \"p99_ms\": %.3f, \
-              \"shed_rate\": %.3f}"
-             mode clients tput (p99 *. 1000.0) shed_rate))
-      entries;
-    Buffer.add_string buf "\n]\n";
-    let oc = open_out "BENCH_serve.json" in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    Printf.printf "wrote BENCH_serve.json (%d entries)\n" (List.length entries)
-  end;
-  entries
 
 let sweep_baseline_vs_engine () =
   print_endline
@@ -1577,7 +1371,6 @@ let current_snb = lazy (sweep_snb ())
 let current_recovery = lazy (sweep_recovery ())
 let current_obs = lazy (sweep_obs ())
 let current_scan = lazy (sweep_scan ())
-let current_serve = lazy (sweep_serve ())
 
 let num_field obj name =
   Option.bind (Json.member name obj) Json.to_float
@@ -1770,39 +1563,6 @@ let check_scan baseline =
       | _ -> None)
     (Option.value (Json.to_list baseline) ~default:[])
 
-(* The serve sweep gates delivered throughput on the normal-mode rows
-   only: the overload row's shed rate is deliberately load-shaped and
-   recorded for the record, not gated. *)
-let check_serve baseline =
-  let current = Lazy.force current_serve in
-  List.filter_map
-    (fun entry ->
-      match
-        ( Option.bind (Json.member "mode" entry) Json.to_string_opt,
-          num_field entry "clients",
-          num_field entry "throughput_stmt_per_s" )
-      with
-      | Some "normal", Some clients, Some base_tput -> (
-          let clients = int_of_float clients in
-          match
-            List.find_opt
-              (fun (mode, c, _, _, _) -> mode = "normal" && c = clients)
-              current
-          with
-          | Some (_, _, tput, _, _) ->
-              Some
-                {
-                  ck_metric =
-                    Printf.sprintf "serve:clients=%d throughput_stmt_per_s"
-                      clients;
-                  ck_base = base_tput;
-                  ck_cur = tput;
-                  ck_higher_better = true;
-                }
-          | None -> None)
-      | _ -> None)
-    (Option.value (Json.to_list baseline) ~default:[])
-
 (* A baseline file is classified by shape, not by name: an object with
    "overhead" is the obs sweep; an array whose entries carry
    "wal_records" is the recovery sweep; an array with "selectivity" is
@@ -1815,8 +1575,6 @@ let classify_baseline json =
       Some `Recovery
   | Json.Arr (first :: _) when Json.member "selectivity" first <> None ->
       Some `Scan
-  | Json.Arr (first :: _) when Json.member "clients" first <> None ->
-      Some `Serve
   | Json.Arr (first :: _) when Json.member "rpq_ms" first <> None ->
       Some `Snb
   | Json.Arr (first :: _) when Json.member "domains" first <> None ->
@@ -1854,7 +1612,6 @@ let run_check baselines =
               | Some `Recovery -> check_recovery json
               | Some `Obs -> check_obs json
               | Some `Scan -> check_scan json
-              | Some `Serve -> check_serve json
               | Some `Snb -> check_snb json
               | None ->
                   Printf.eprintf
@@ -1898,7 +1655,7 @@ let run_check baselines =
 let default_baselines =
   [
     "BENCH_join.json"; "BENCH_recovery.json"; "BENCH_obs.json";
-    "BENCH_scan.json"; "BENCH_serve.json"; "BENCH_snb.json";
+    "BENCH_scan.json"; "BENCH_snb.json";
   ]
 
 let () =
@@ -1924,7 +1681,6 @@ let () =
     ignore (sweep_recovery ~json:true ());
     ignore (sweep_obs ~json:true ());
     ignore (sweep_scan ~json:true ());
-    ignore (sweep_serve ~json:true ());
     ignore (sweep_snb ~json:true ());
     exit 0
   end;
@@ -1933,12 +1689,9 @@ let () =
   sweep_view_build ();
   sweep_planner ();
   sweep_script_parallel ();
-  sweep_shards ();
-  sweep_fault_recovery ();
   ignore (sweep_recovery ());
   ignore (sweep_join_parallel ());
   ignore (sweep_scan ());
-  ignore (sweep_serve ());
   sweep_baseline_vs_engine ();
   sweep_seed_strategy ();
   sweep_fast_pred ();

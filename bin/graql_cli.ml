@@ -118,8 +118,8 @@ let query_log_arg =
     value & opt (some string) None
     & info [ "query-log" ] ~docv:"FILE"
         ~doc:"Append one JSON line per executed statement to FILE (query \
-              id, user, statement kind, wall ms, rows, outcome, retry and \
-              failover counts). Equivalent to GRAQL_QUERY_LOG.")
+              id, user, statement kind, wall ms, rows, outcome, retry \
+              count). Equivalent to GRAQL_QUERY_LOG.")
 
 let listen_arg =
   Arg.(
@@ -677,7 +677,7 @@ let snb_cmd =
 
 (* repl `stats;` / `stats full;`: the metrics registry as text tables.
    The default view hides the scheduling-variant series (sched.*,
-   fault.*, pool.*, WAL latency histograms); `stats full;` shows all. *)
+   pool.*, WAL latency histograms); `stats full;` shows all. *)
 let print_stats ~full session =
   print_string (Graql.Session.stats_tables ~full session)
 

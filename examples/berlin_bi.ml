@@ -1,7 +1,7 @@
 (* The full Berlin business-intelligence session from the paper: load the
    schema and a generated dataset, then run every query the figures show,
-   with per-phase timing from the GEMS session (parse / static analysis /
-   IR encode / IR decode / execute).
+   with the wall time of each query and the IR bytes the GEMS session
+   shipped from front end to backend.
 
    Run with: dune exec examples/berlin_bi.exe -- [scale] *)
 
@@ -46,17 +46,5 @@ let () =
       Printf.printf "(%.1f ms)\n" (dt *. 1000.0))
     Graql.Berlin.Queries.all;
 
-  let t = Graql.Session.phase_times session in
-  Printf.printf
-    "\n=== session phase times ===\n\
-     parse   %7.2f ms\n\
-     check   %7.2f ms\n\
-     encode  %7.2f ms (IR shipped: %d bytes)\n\
-     decode  %7.2f ms\n\
-     execute %7.2f ms\n"
-    (1000.0 *. t.Graql.Session.t_parse)
-    (1000.0 *. t.Graql.Session.t_check)
-    (1000.0 *. t.Graql.Session.t_encode)
+  Printf.printf "\nIR shipped: %d bytes\n"
     (Graql.Session.ir_bytes_shipped session)
-    (1000.0 *. t.Graql.Session.t_decode)
-    (1000.0 *. t.Graql.Session.t_execute)

@@ -86,7 +86,6 @@ module Json = Graql_util.Json
 
 (* -- GEMS ----------------------------------------------------------- *)
 module Session = Graql_gems.Session
-module Shard = Graql_gems.Shard
 module Cluster = Graql_gems.Cluster
 module Server = Graql_gems.Server
 module Telemetry = Graql_gems.Telemetry

@@ -367,13 +367,11 @@ let stmt_class stmt =
 
 let class_hist class_ = Metrics.histogram ("script.stmt_us." ^ class_)
 
-(* Retry/failover counters live in the scheduling and shard layers;
-   reading them by name here keeps the engine decoupled from those
-   modules while still letting the query log attribute recovery work to
-   the statement that ran. Attribution is exact for sequential scripts;
-   statements of the same parallel wave may swap each other's counts. *)
-let c_fault_retries = Metrics.counter "fault.retries"
-let c_fault_failovers = Metrics.counter "fault.failovers"
+(* The retry counter lives in the scheduling layer; reading it by name
+   here keeps the engine decoupled from the pool's internals while still
+   letting the query log attribute recovery work to the statement that
+   ran. Attribution is exact for sequential scripts; statements of the
+   same parallel wave may swap each other's counts. *)
 let c_sched_retries = Metrics.counter "sched.retries"
 
 let rows_of_outcome = function
@@ -427,12 +425,8 @@ let exec_stmt_outcome ~loader ?cancel ~defer db ~index stmt =
     if query_log || slow_threshold <> None then Some (Ledger.start ())
     else None
   in
-  let retries0, failovers0 =
-    if query_log then
-      ( Metrics.counter_value c_fault_retries
-        + Metrics.counter_value c_sched_retries,
-        Metrics.counter_value c_fault_failovers )
-    else (0, 0)
+  let retries0 =
+    if query_log then Metrics.counter_value c_sched_retries else 0
   in
   let t0 = Unix.gettimeofday () in
   let outcome =
@@ -479,17 +473,15 @@ let exec_stmt_outcome ~loader ?cancel ~defer db ~index stmt =
     (* Dispatch retries for this very statement happen before its body
        starts, outside the counter bracket — ask the pool for them. *)
     let retries =
-      Metrics.counter_value c_fault_retries
-      + Metrics.counter_value c_sched_retries
-      - retries0
+      Metrics.counter_value c_sched_retries - retries0
       + Pool.current_task_retries ()
-    and failovers = Metrics.counter_value c_fault_failovers - failovers0 in
+    in
     let q_outcome, error =
       match outcome with
       | O_failed (Graql_error.Timeout _ as e) ->
           (Query_log.Timeout, Some (Graql_error.to_string e))
       | O_failed e -> (Query_log.Failed, Some (Graql_error.to_string e))
-      | _ when retries > 0 || failovers > 0 -> (Query_log.Degraded, None)
+      | _ when retries > 0 -> (Query_log.Degraded, None)
       | _ -> (Query_log.Ok, None)
     in
     Query_log.log
@@ -503,7 +495,6 @@ let exec_stmt_outcome ~loader ?cancel ~defer db ~index stmt =
         r_rows = rows_of_outcome outcome;
         r_outcome = q_outcome;
         r_retries = max 0 retries;
-        r_failovers = max 0 failovers;
         r_error = error;
         r_ledger = ledger;
       }

@@ -74,43 +74,6 @@ let database_items ?(shards_per_table = 4) db =
   in
   table_items @ vertex_items @ edge_items
 
-(* LPT placement of R copies per item: biggest item first, each copy on
-   the least-loaded node not already holding one. Returned in the items'
-   original order, primary first — the failover order Shard walks when a
-   node stays dead. *)
-let replica_placement ~nodes ~replicas weights =
-  if nodes <= 0 then invalid_arg "Cluster.replica_placement: nodes";
-  let replicas = max 1 (min replicas nodes) in
-  let n = Array.length weights in
-  let order = Array.init n Fun.id in
-  Array.sort
-    (fun a b ->
-      match compare weights.(b) weights.(a) with
-      | 0 -> compare a b (* stable for equal weights: placement is total *)
-      | c -> c)
-    order;
-  let load = Array.make nodes 0 in
-  let out = Array.make n [||] in
-  Array.iter
-    (fun item ->
-      let taken = Array.make nodes false in
-      let copies =
-        Array.init replicas (fun _ ->
-            let best = ref (-1) in
-            for nd = 0 to nodes - 1 do
-              if
-                (not taken.(nd))
-                && (!best < 0 || load.(nd) < load.(!best))
-              then best := nd
-            done;
-            taken.(!best) <- true;
-            load.(!best) <- load.(!best) + weights.(item);
-            !best)
-      in
-      out.(item) <- copies)
-    order;
-  out
-
 let plan ?shards_per_table ~nodes ~mem_per_node db =
   if nodes <= 0 then invalid_arg "Cluster.plan: nodes must be positive";
   let items = database_items ?shards_per_table db in

@@ -7,7 +7,9 @@
     views, both CSR edge index directions) and computes a shard placement
     over a homogeneous cluster with LPT (longest-processing-time) greedy
     balancing, reporting whether the database fits and how skewed the
-    placement is. *)
+    placement is. The placement is a planning report only: every
+    statement runs on the domain-pool executor
+    ({!Graql_parallel.Domain_pool}). *)
 
 type item = {
   it_name : string;  (** "table:Products", "vertex:ProductVtx", "edges:type" *)
@@ -39,15 +41,6 @@ val plan :
   mem_per_node:int ->
   Graql_engine.Db.t ->
   plan
-
-val replica_placement :
-  nodes:int -> replicas:int -> int array -> int array array
-(** [replica_placement ~nodes ~replicas weights] assigns each weighted
-    item [replicas] distinct nodes by LPT greedy (biggest item first, each
-    copy on the least-loaded node not already holding one). Result is in
-    item order; each row lists the item's nodes, primary first — the
-    failover order the sharded backend walks when a node stays dead.
-    [replicas] is clamped to [nodes]. *)
 
 val report : plan -> string
 (** Human-readable placement table plus the fits/skew verdict. *)

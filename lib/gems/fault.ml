@@ -28,9 +28,6 @@ let make ?(seed = 0) rules = { seed; rules }
 
 let fail_once ?(seed = 0) () = { seed; rules = [ rule ~attempts:1 Fail ] }
 
-let dead ?label ?index () =
-  { seed = 0; rules = [ rule ?label ?index ~attempts:(-1) Fail ] }
-
 let random ?(seed = 0) ?(prob = 0.25) () =
   { seed; rules = [ rule ~attempts:1 ~prob Fail ] }
 
@@ -63,14 +60,12 @@ let matching_rule t ~label ~index ~attempt =
 let site_name ~label ~index =
   Printf.sprintf "%s/shard%d" (if label = "" then "anon" else label) index
 
-let fire t ~label ~index ~attempt =
+let hook t ~label ~index ~attempt =
   match matching_rule t ~label ~index ~attempt with
   | None -> ()
   | Some { kind = Fail; _ } -> raise (Pool.Transient (site_name ~label ~index))
   | Some { kind = Slow ms; _ } ->
       if ms > 0 then Unix.sleepf (float_of_int ms /. 1000.0)
-
-let hook t ~label ~index ~attempt = fire t ~label ~index ~attempt
 
 (* ------------------------------------------------------------------ *)
 (* Environment-driven plans (CI)                                       *)

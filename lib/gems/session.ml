@@ -14,14 +14,6 @@ module Slo = Graql_obs.Slo
 
 type durability = Off | Wal_dir of string
 
-type phase_times = {
-  mutable t_parse : float;
-  mutable t_check : float;
-  mutable t_encode : float;
-  mutable t_decode : float;
-  mutable t_execute : float;
-}
-
 type t = {
   db : Db.t;
   strict : bool;
@@ -30,7 +22,6 @@ type t = {
   mutable wal : Wal.t option;
   mutable last_recovery : Db_io.recovery option;
   mutable diags : Diag.t list;
-  times : phase_times;
   mutable ir_bytes : int;
 }
 
@@ -65,8 +56,6 @@ let create ?pool ?(strict = true) ?faults ?(durability = Off)
       wal = None;
       last_recovery = None;
       diags = [];
-      times =
-        { t_parse = 0.0; t_check = 0.0; t_encode = 0.0; t_decode = 0.0; t_execute = 0.0 };
       ir_bytes = 0;
     }
   in
@@ -124,7 +113,6 @@ let close t =
       t.wal <- None
   | None -> ())
 let last_diagnostics t = t.diags
-let phase_times t = t.times
 let ir_bytes_shipped t = t.ir_bytes
 
 let set_faults t plan =
@@ -135,33 +123,21 @@ let set_faults t plan =
 let recovered_faults t =
   match Db.pool t.db with Some pool -> Pool.fault_retries pool | None -> 0
 
-let timed cell f =
-  let t0 = Unix.gettimeofday () in
-  match f () with
-  | r ->
-      cell (Unix.gettimeofday () -. t0);
-      r
-  | exception e ->
-      (* Keep partial phase timings honest even when a phase dies (e.g. a
-         deadline fires mid-execute). *)
-      cell (Unix.gettimeofday () -. t0);
-      raise e
-
-let parse t source =
-  timed (fun d -> t.times.t_parse <- t.times.t_parse +. d) (fun () ->
-      try Graql_lang.Parser.parse_script source
-      with Graql_lang.Loc.Syntax_error (loc, msg) ->
-        Graql_error.raise_error (Graql_error.Parse (loc, msg)))
-
-let check t source =
-  let ast = parse t source in
-  let meta = Db.meta t.db in
+(* Parse and type-check against the catalog; the diagnostics are kept
+   for [last_diagnostics]. *)
+let parse_checked t source =
+  let ast =
+    try Graql_lang.Parser.parse_script source
+    with Graql_lang.Loc.Syntax_error (loc, msg) ->
+      Graql_error.raise_error (Graql_error.Parse (loc, msg))
+  in
   let diags =
-    timed (fun d -> t.times.t_check <- t.times.t_check +. d) (fun () ->
-        Graql_analysis.Typecheck.check_script ~params:[] meta ast)
+    Graql_analysis.Typecheck.check_script ~params:[] (Db.meta t.db) ast
   in
   t.diags <- diags;
-  diags
+  (ast, diags)
+
+let check t source = snd (parse_checked t source)
 
 let cancel_of_deadline = function
   | None -> None
@@ -180,16 +156,12 @@ let with_tracing trace f =
 
 let run_ir_untraced ?loader ?parallel ?deadline_ms t blob =
   let ast =
-    timed (fun d -> t.times.t_decode <- t.times.t_decode +. d) (fun () ->
-        try Graql_ir.Codec.decode_script blob
-        with Graql_ir.Wire.Corrupt msg ->
-          Graql_error.raise_error (Graql_error.Io ("corrupt IR: " ^ msg)))
+    try Graql_ir.Codec.decode_script blob
+    with Graql_ir.Wire.Corrupt msg ->
+      Graql_error.raise_error (Graql_error.Io ("corrupt IR: " ^ msg))
   in
   let cancel = cancel_of_deadline deadline_ms in
-  let results =
-    timed (fun d -> t.times.t_execute <- t.times.t_execute +. d) (fun () ->
-        Script_exec.exec_script ?loader ?parallel ?cancel t.db ast)
-  in
+  let results = Script_exec.exec_script ?loader ?parallel ?cancel t.db ast in
   (* Checkpoint policy: only between scripts, never mid-statement — the
      WAL is in a clean state here. *)
   maybe_checkpoint t;
@@ -200,13 +172,7 @@ let run_ir ?loader ?parallel ?deadline_ms ?trace t blob =
       run_ir_untraced ?loader ?parallel ?deadline_ms t blob)
 
 let checked_ast t source =
-  let ast = parse t source in
-  let meta = Db.meta t.db in
-  let diags =
-    timed (fun d -> t.times.t_check <- t.times.t_check +. d) (fun () ->
-        Graql_analysis.Typecheck.check_script ~params:[] meta ast)
-  in
-  t.diags <- diags;
+  let ast, diags = parse_checked t source in
   if t.strict && Diag.has_errors diags then
     Graql_error.raise_error (Graql_error.Analysis (Diag.errors diags));
   ast
@@ -215,10 +181,7 @@ let run_script ?loader ?parallel ?deadline_ms ?trace t source =
   let ast = checked_ast t source in
   (* Front-end -> backend hop: compile to binary IR and decode it on the
      other side, exactly as the paper's architecture moves queries. *)
-  let blob =
-    timed (fun d -> t.times.t_encode <- t.times.t_encode +. d) (fun () ->
-        Graql_ir.Codec.encode_script ast)
-  in
+  let blob = Graql_ir.Codec.encode_script ast in
   t.ir_bytes <- t.ir_bytes + Bytes.length blob;
   run_ir ?loader ?parallel ?deadline_ms ?trace t blob
 
@@ -241,7 +204,7 @@ let sched_variant name =
     String.length name >= String.length p
     && String.sub name 0 (String.length p) = p
   in
-  has_prefix "sched." || has_prefix "fault." || has_prefix "pool."
+  has_prefix "sched." || has_prefix "pool."
   || List.mem name [ "wal.append_us"; "wal.fsync_us"; "wal.checkpoint_us" ]
 
 let stats_tables ?(full = false) t =
@@ -313,9 +276,8 @@ let stats_tables ?(full = false) t =
 let profile ?loader t source =
   (* EXPLAIN ANALYZE wants span data for the statement it runs. *)
   with_tracing (Some true) (fun () ->
-      let ast = checked_ast t source in
-      timed (fun d -> t.times.t_execute <- t.times.t_execute +. d) (fun () ->
-          Graql_engine.Profile_exec.profile_script ?loader t.db ast))
+      Graql_engine.Profile_exec.profile_script ?loader t.db
+        (checked_ast t source))
 
 let catalog_rows t =
   let meta = Db.meta t.db in

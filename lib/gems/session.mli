@@ -4,8 +4,9 @@
     compile to binary IR → "ship" to the backend (encode + decode) →
     dynamic planning and execution on the backend → results.
 
-    Timings of each phase are recorded, so benchmarks can report front-end
-    vs. backend cost separately. Failures surface as typed
+    Each statement's execution is timed by a {!Graql_obs.Trace} span
+    (when tracing is armed) and the [script.stmt_us] histograms.
+    Failures surface as typed
     {!Graql_engine.Graql_error.t} values: pipeline-level problems (parse,
     strict-mode analysis rejection, corrupt IR) raise
     [Graql_error.Error]; per-statement execution failures come back as
@@ -20,14 +21,6 @@ type durability =
           create, then write-ahead-log every mutating statement and
           fold the log into checkpoints (see {!Graql_engine.Wal},
           {!Graql_engine.Db_io.recover}, DESIGN.md §9) *)
-
-type phase_times = {
-  mutable t_parse : float;
-  mutable t_check : float;
-  mutable t_encode : float;
-  mutable t_decode : float;
-  mutable t_execute : float;
-}
 
 type t
 
@@ -82,7 +75,6 @@ val close : t -> unit
     be recovered by a new session. *)
 
 val last_diagnostics : t -> Graql_analysis.Diag.t list
-val phase_times : t -> phase_times
 
 val ir_bytes_shipped : t -> int
 (** Total IR bytes moved front-end → backend so far. *)
@@ -109,7 +101,7 @@ val run_script :
 (** The full pipeline on GraQL source text. [deadline_ms] bounds backend
     execution: when it expires, in-flight statements stop at the next
     cooperative cancellation point and report
-    [O_failed (Timeout _)]; phase timings measured so far are kept.
+    [O_failed (Timeout _)].
     [trace:true] arms {!Graql_obs.Trace} for the duration of this run
     (restoring the previous state afterwards). *)
 
@@ -136,7 +128,7 @@ val stats_text : t -> string
 val stats_tables : ?full:bool -> t -> string
 (** The registry as human-readable text tables — the payload of the
     repl's [stats;] and the [/stats] endpoint. By default the
-    scheduling-variant series ([sched.*], [fault.*], [pool.*] and the
+    scheduling-variant series ([sched.*], [pool.*] and the
     WAL latency histograms) are hidden; [~full:true] — the repl's
     [stats full;] — shows everything. Ends with the per-class SLO
     percentile table when statement latency data exists. *)

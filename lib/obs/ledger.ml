@@ -1,8 +1,8 @@
 (* Per-statement resource ledger (DESIGN.md §16): what one statement
    actually consumed, measured as before/after deltas over the
-   process-wide registries — rows scanned (table, path, shard and RPQ
+   process-wide registries — rows scanned (table, path and RPQ
    counters), GC allocation (Gc.quick_stat word deltas), pool queue
-   wait vs. run time, and fault retries/failovers. The caller feeds in
+   wait vs. run time, and the pool's dispatch retries. The caller feeds in
    what only it knows: rows produced and a bytes-scanned estimate.
 
    Attribution caveat (same as the query log's retry counts): deltas
@@ -11,19 +11,17 @@
    The totals across a wave are always right. *)
 
 (* Handles resolved once; the names must match the recording sites
-   (table_exec, path_exec, shard, rpq, domain_pool, script_exec). *)
+   (table_exec, path_exec, rpq, domain_pool). *)
 let scan_counters =
   lazy
     (List.map
        (fun name -> Metrics.counter name)
        [
          "table.scan_rows"; "path.seed_rows"; "path.step_rows";
-         "shard.scan_rows"; "rpq.visited_pairs";
+         "rpq.visited_pairs";
        ])
 
-let c_fault_retries = lazy (Metrics.counter "fault.retries")
 let c_sched_retries = lazy (Metrics.counter "sched.retries")
-let c_failovers = lazy (Metrics.counter "fault.failovers")
 let c_scan_bytes = lazy (Metrics.counter "table.scan_bytes")
 let h_pool_wait = lazy (Metrics.histogram "pool.task_wait_us")
 let h_pool_run = lazy (Metrics.histogram "pool.task_run_us")
@@ -44,7 +42,6 @@ type snapshot = {
   s_wait_us : float;
   s_run_us : float;
   s_retries : int;
-  s_failovers : int;
 }
 
 type t = {
@@ -56,7 +53,6 @@ type t = {
   lg_pool_wait_us : float;
   lg_pool_run_us : float;
   lg_retries : int;
-  lg_failovers : int;
 }
 
 let start () =
@@ -69,10 +65,7 @@ let start () =
     s_major = gc.Gc.major_words;
     s_wait_us = Metrics.hist_sum (Lazy.force h_pool_wait);
     s_run_us = Metrics.hist_sum (Lazy.force h_pool_run);
-    s_retries =
-      Metrics.counter_value (Lazy.force c_fault_retries)
-      + Metrics.counter_value (Lazy.force c_sched_retries);
-    s_failovers = Metrics.counter_value (Lazy.force c_failovers);
+    s_retries = Metrics.counter_value (Lazy.force c_sched_retries);
   }
 
 let finish ?(rows_out = 0) ?(bytes_scanned = 0) s =
@@ -97,22 +90,16 @@ let finish ?(rows_out = 0) ?(bytes_scanned = 0) s =
     lg_pool_run_us =
       Float.max 0.0 (Metrics.hist_sum (Lazy.force h_pool_run) -. s.s_run_us);
     lg_retries =
-      max 0
-        (Metrics.counter_value (Lazy.force c_fault_retries)
-         + Metrics.counter_value (Lazy.force c_sched_retries)
-         - s.s_retries);
-    lg_failovers =
-      max 0 (Metrics.counter_value (Lazy.force c_failovers) - s.s_failovers);
+      max 0 (Metrics.counter_value (Lazy.force c_sched_retries) - s.s_retries);
   }
 
 let to_json lg =
   Printf.sprintf
     "{\"rows_scanned\":%d,\"bytes_scanned\":%d,\"rows_out\":%d,\
      \"minor_words\":%.0f,\"major_words\":%.0f,\"pool_wait_us\":%.1f,\
-     \"pool_run_us\":%.1f,\"retries\":%d,\"failovers\":%d}"
+     \"pool_run_us\":%.1f,\"retries\":%d}"
     lg.lg_rows_scanned lg.lg_bytes_scanned lg.lg_rows_out lg.lg_minor_words
     lg.lg_major_words lg.lg_pool_wait_us lg.lg_pool_run_us lg.lg_retries
-    lg.lg_failovers
 
 (* One human line for EXPLAIN ANALYZE and the slow log. *)
 let summary lg =
@@ -127,8 +114,7 @@ let summary lg =
     else ""
   in
   let faults =
-    if lg.lg_retries > 0 || lg.lg_failovers > 0 then
-      Printf.sprintf ", %d retries, %d failovers" lg.lg_retries lg.lg_failovers
+    if lg.lg_retries > 0 then Printf.sprintf ", %d retries" lg.lg_retries
     else ""
   in
   Printf.sprintf

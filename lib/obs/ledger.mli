@@ -1,8 +1,8 @@
 (** Per-statement resource ledger (DESIGN.md §16): before/after deltas
     over the process-wide registries, attributing to one statement the
-    rows it scanned (table + path + shard + RPQ counters), the words it
+    rows it scanned (table + path + RPQ counters), the words it
     allocated ([Gc.quick_stat]), its domain-pool queue wait vs. run
-    time, and the fault retries/failovers it absorbed.
+    time, and the pool dispatch retries it absorbed.
 
     Attribution is exact when statements execute sequentially;
     overlapping statements in a parallel wave may swap shares of the
@@ -30,7 +30,6 @@ type t = {
   lg_pool_wait_us : float;
   lg_pool_run_us : float;
   lg_retries : int;
-  lg_failovers : int;
 }
 
 val start : unit -> snapshot

@@ -13,8 +13,8 @@
     happens-before edge) are exact.
 
     Naming convention: [layer.metric] — e.g. [path.step_rows],
-    [pool.task_wait_us]. Counters under the [sched.*] and [fault.*]
-    prefixes describe scheduling work (task counts, dispatch retries) and
+    [pool.task_wait_us]. Counters under the [sched.*] prefix
+    describe scheduling work (task counts, dispatch retries) and
     are expected to vary with the domain count; every other counter is
     semantic and must be invariant across domain counts (enforced by the
     metrics-consistency CI job). *)

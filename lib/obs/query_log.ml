@@ -18,7 +18,6 @@ type record = {
   r_rows : int;
   r_outcome : outcome;
   r_retries : int;
-  r_failovers : int;
   r_error : string option;
   r_ledger : Ledger.t option;
 }
@@ -124,11 +123,11 @@ let json_of_record r =
   Buffer.add_string buf
     (Printf.sprintf
        "\"stmt\": %s, \"wall_ms\": %.3f, \"rows\": %d, \"outcome\": %s, \
-        \"retries\": %d, \"failovers\": %d"
+        \"retries\": %d"
        (Json.quote (Redact.statement r.r_kind))
        r.r_ms r.r_rows
        (Json.quote (outcome_name r.r_outcome))
-       r.r_retries r.r_failovers);
+       r.r_retries);
   (match r.r_error with
   | Some e ->
       Buffer.add_string buf

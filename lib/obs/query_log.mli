@@ -23,7 +23,6 @@ type record = {
   r_rows : int;
   r_outcome : outcome;
   r_retries : int;
-  r_failovers : int;
   r_error : string option;  (** present iff failed/timeout *)
   r_ledger : Ledger.t option;
       (** per-statement resource accounting, when captured *)

@@ -163,8 +163,7 @@ let current_task_retries () = !(Domain.DLS.get task_retries_key)
    attempt budget. Injected faults strike *before* any task work — the
    simulated node dies on dispatch — so the task body runs exactly once,
    after a hook attempt succeeds. Pool tasks therefore need not be
-   idempotent (the join/CSR scatter tasks are not); re-runnable bodies
-   with data-dependent failures belong to the site-aware [Shard] layer. *)
+   idempotent (the join/CSR scatter tasks are not). *)
 let run_with_retries t ~label ~index task =
   let rec attempt n =
     match

@@ -20,15 +20,14 @@ exception Transient of string
     budget. *)
 
 exception Fault_exhausted of { site : string; attempts : int }
-(** A task's retry budget ran out (or its last replica died): the shard is
-    effectively dead. Maps to [Graql_error.Exec_fault] upstream. *)
+(** A task's retry budget ran out: the site is effectively dead. Maps
+    to [Graql_error.Exec_fault] upstream. *)
 
 type fault_hook = label:string -> index:int -> attempt:int -> unit
 (** Called before every attempt of every scheduled task: [label] is the
     ambient work label (see {!with_label}), [index] the task's position in
-    its batch (its simulated shard), [attempt] counts from 1. The hook
-    simulates failures by raising {!Transient} and slow nodes by
-    sleeping. *)
+    its batch, [attempt] counts from 1. The hook simulates failures by
+    raising {!Transient} and slow nodes by sleeping. *)
 
 val create : ?domains:int -> unit -> t
 (** [create ~domains ()] starts [domains - 1] worker domains (the caller

@@ -111,7 +111,7 @@ let test_prometheus_escaping () =
 
 (* ---------- domain-count invariance on the Berlin workload ---------- *)
 
-(* Counters outside sched.* / fault.* describe what the queries computed,
+(* Counters outside sched.* describe what the queries computed,
    not how the work was scheduled, so they must not move when the same
    workload runs on 1, 2, 4 or 8 domains (DESIGN.md §10). *)
 let semantic_prefixes = [ "script."; "path."; "table."; "wal."; "graph." ]
@@ -772,7 +772,6 @@ let test_redaction () =
         r_rows = 3;
         r_outcome = Query_log.Ok;
         r_retries = 0;
-        r_failovers = 0;
         r_error = None;
         r_ledger = None;
       }

@@ -212,10 +212,27 @@ let test_cancel_stops_chunks () =
                   else Atomic.incr done_count))
          with
         | () -> Alcotest.failf "round %d: expected cancellation" round
-        | exception Cancel.Cancelled _ -> ());
-        (* Some tasks may have run before the flag flipped, but not all. *)
-        check "later chunks skipped" true (Atomic.get done_count < 64)
+        | exception Cancel.Cancelled _ -> ())
       done;
+      Pool.set_cancel pool None)
+
+(* A 1-domain pool has no workers: the caller runs the tasks in order,
+   so once task 0 cancels, every queued task must be skipped before its
+   body runs. *)
+let test_cancel_skips_queued () =
+  with_pool ~domains:1 (fun pool ->
+      let token = Cancel.create () in
+      Pool.set_cancel pool (Some token);
+      let done_count = Atomic.make 0 in
+      (match
+         Pool.run_tasks pool
+           (List.init 64 (fun i () ->
+                if i = 0 then Cancel.cancel token
+                else Atomic.incr done_count))
+       with
+      | () -> Alcotest.fail "expected cancellation"
+      | exception Cancel.Cancelled _ -> ());
+      check_int "no queued task ran" 0 (Atomic.get done_count);
       Pool.set_cancel pool None)
 
 let test_deadline_token_expires () =
@@ -262,6 +279,8 @@ let () =
         [
           Alcotest.test_case "cancel stops chunks" `Quick
             test_cancel_stops_chunks;
+          Alcotest.test_case "cancel skips queued" `Quick
+            test_cancel_skips_queued;
           Alcotest.test_case "deadline token expires" `Quick
             test_deadline_token_expires;
         ] );

@@ -597,6 +597,12 @@ let test_chaos_kill_the_primary () =
   wait_until "primary to bind its replication port" (fun () ->
       can_connect port);
   wait_until "follower to connect" (fun () -> Follower.connected f);
+  (* [connected] turns true once the hello is sent. The empty follower's
+     hello asks for a snapshot, and a snapshot is installed through
+     recovery with no [repl.apply] span: wait for the primary's reply to
+     land, so the records streamed after it are traced applies. *)
+  wait_until "follower to hold the primary's reply" (fun () ->
+      Follower.offset f >= Wal.header_size);
   wait_until ~poll_s:0.001
     (Printf.sprintf "log to reach the kill threshold (%d bytes)" threshold)
     (fun () -> wal_size_now (wal0 pdir) >= threshold);

@@ -1007,6 +1007,13 @@ let test_trace_stitching () =
   @@ fun () ->
   let cl = Client.connect ~port:(Serve.port sv) ~user:"admin" () in
   Fun.protect ~finally:(fun () -> Client.close cl) @@ fun () ->
+  (* A follower that starts empty is resynced by a snapshot, which is
+     installed through recovery and records no [repl.apply]; and the
+     primary tags each ack with the trace of the last chunk it shipped.
+     Wait until the follower holds the primary's log and has acked it,
+     so the traced write travels as a streamed chunk of its own. *)
+  wait_until "the follower to register and ack the primary's log" (fun () ->
+      Repl.min_acked p = Some (Wal.epoch wal, Wal.size wal));
   let trace = Trace.new_trace_id () in
   ignore (expect_ok "traced stmt" (Client.run ~trace cl "set %traced% = 1"));
   (* The primary records [repl.ack] in this trace when the follower's
